@@ -3,12 +3,18 @@
 Covers exactly the ops needed for mean-field MLPs, small 2-D convolutions
 and Gaussian ELBO terms: elementwise arithmetic, matmul, conv2d (stride 1
 or 2, square kernel, zero padding), relu/sigmoid/log/exp/square,
-sum/mean reductions, softmax cross-entropy and the per-feature /
-per-channel scale-shift used by FiLM layers.
+sum/mean reductions, softmax and sigmoid cross-entropy and the
+per-feature / per-channel scale-shift used by FiLM layers. Three fused
+Gaussian ops each build one node with a closed-form backward:
+``reparam`` (the draw mu + exp(logvar / 2) * eps), ``diag_gauss_kl``
+(the clipped diagonal-Gaussian KL over many tensors, or its quadratic
+term alone, the Online-EWC penalty) and ``sigmoid_cross_entropy``.
 
 All data is float64. Tensors are immutable values; building an op appends
 a node to an implicit tape (the parent links), and ``backward`` walks the
-tape once in reverse topological order.
+tape once in reverse topological order. An op computes a parent's
+gradient only when that parent requires one, so constants such as the
+input data cost nothing in the backward pass.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(op, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op}: non-finite values in forward output")
 
 
@@ -113,7 +119,7 @@ def add(a, b):
         axes = tuple(range(len(a.shape) - 1))
 
         def back(g):
-            return g, g.sum(axis=axes)
+            return g, (g.sum(axis=axes) if b.requires_grad else None)
     else:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
     return Tensor._result("add", a.data + b.data, (a, b), back)
@@ -122,7 +128,9 @@ def add(a, b):
 def sub(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not conform")
-    return Tensor._result("sub", a.data - b.data, (a, b), lambda g: (g, -g))
+    return Tensor._result(
+        "sub", a.data - b.data, (a, b), lambda g: (g, -g if b.requires_grad else None)
+    )
 
 
 def mul(a, b):
@@ -131,12 +139,15 @@ def mul(a, b):
     ad, bd = a.data, b.data
 
     def back(g):
-        ga = g * bd
-        gb = g * ad
-        if a.shape == ():
-            ga = ga.sum()
-        if b.shape == ():
-            gb = gb.sum()
+        ga = gb = None
+        if a.requires_grad:
+            ga = g * bd
+            if a.shape == ():
+                ga = ga.sum()
+        if b.requires_grad:
+            gb = g * ad
+            if b.shape == ():
+                gb = gb.sum()
         return ga, gb
 
     return Tensor._result("mul", ad * bd, (a, b), back)
@@ -146,9 +157,14 @@ def matmul(a, b):
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
-    return Tensor._result(
-        "matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g)
-    )
+
+    def back(g):
+        return (
+            g @ bd.T if a.requires_grad else None,
+            ad.T @ g if b.requires_grad else None,
+        )
+
+    return Tensor._result("matmul", ad @ bd, (a, b), back)
 
 
 def relu(a):
@@ -222,6 +238,103 @@ def softmax_cross_entropy(logits, labels):
     return Tensor._result("softmax_cross_entropy", losses, (logits,), back)
 
 
+def sigmoid_cross_entropy(logits, labels):
+    """Per-example cross-entropy of sigmoid(logit) against 0/1 labels.
+
+    With s = 1 - 2y the loss is softplus(s z) = max(s z, 0) + log1p(e^-|s z|)
+    and its gradient is s * sigmoid(s z).
+    """
+    if len(logits.shape) != 2 or logits.shape[1] != 1:
+        raise ShapeError(f"sigmoid_cross_entropy: logits shape {logits.shape} is not (N, 1)")
+    labels = np.asarray(labels)
+    if labels.shape != (logits.shape[0],):
+        raise ShapeError(
+            f"sigmoid_cross_entropy: labels shape {labels.shape} does not match "
+            f"batch of logits {logits.shape}"
+        )
+    s = 1.0 - 2.0 * labels
+    u = s * logits.data[:, 0]
+    e = np.exp(-np.abs(u))
+    losses = np.maximum(u, 0.0) + np.log1p(e)
+
+    def back(g):
+        sig = np.where(u >= 0, 1.0, e) / (1.0 + e)  # sigmoid(u), stable
+        return ((g * s * sig)[:, None],)
+
+    return Tensor._result("sigmoid_cross_entropy", losses, (logits,), back)
+
+
+# -- fused Gaussian ops ----------------------------------------------------
+
+
+def reparam(mu, logvar, eps):
+    """Reparameterized draw mu + exp(logvar / 2) * eps as one node.
+
+    Forward and backward repeat the numpy work of the chain
+    add(mu, mul(exp(mul(logvar, 0.5)), eps)) in its order, so both are
+    bit-identical to it.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    if logvar.shape != mu.shape or eps.shape != mu.shape:
+        raise ShapeError(
+            f"reparam: mu {mu.shape}, logvar {logvar.shape} and eps {eps.shape} differ"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.exp(logvar.data * 0.5)
+        out = mu.data + std * eps
+
+    def back(g):
+        return g, (((g * eps) * std) * 0.5 if logvar.requires_grad else None)
+
+    return Tensor._result("reparam", out, (mu, logvar), back)
+
+
+def diag_gauss_kl(terms, const=0.0):
+    """Sum of diagonal-Gaussian KL terms over many tensors, as one scalar node.
+
+    Each term is (mu, logvar, m, prec, inv_var): q = N(mu, exp(logvar))
+    against a prior with mean m and variance 1 / inv_var whose quadratic
+    term uses the precision prec (the lambda-tilde clipped one for GVCL).
+    The value is
+
+        1/2 * (sum[prec (mu - m)^2 + exp(logvar) inv_var - logvar] + const)
+
+    where const carries the q-independent sum(log v - 1). A term with
+    logvar None contributes its quadratic part only; the Online-EWC
+    penalty is that form. Gradients: prec (mu - m) for mu and
+    (exp(logvar) inv_var - 1) / 2 for logvar.
+    """
+    parents, saved = [], []
+    total = 0.0
+    for mu, logvar, m, prec, inv_var in terms:
+        if not np.shape(m) == np.shape(prec) == mu.shape or (
+            logvar is not None and not logvar.shape == np.shape(inv_var) == mu.shape
+        ):
+            raise ShapeError(f"diag_gauss_kl: a term's prior or logvar does not fit mu {mu.shape}")
+        d = mu.data - m
+        pd = prec * d
+        term = (pd * d).sum()
+        e = None
+        parents.append(mu)
+        if logvar is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = np.exp(logvar.data)
+                term = term + (e * inv_var).sum() - logvar.data.sum()
+            parents.append(logvar)
+        total += term
+        saved.append((mu, logvar, pd, e, inv_var))
+
+    def back(g):
+        grads = []
+        for mu, logvar, pd, e, inv_var in saved:
+            grads.append(g * pd if mu.requires_grad else None)
+            if logvar is not None:
+                grads.append(0.5 * g * (e * inv_var - 1.0) if logvar.requires_grad else None)
+        return grads
+
+    return Tensor._result("diag_gauss_kl", np.asarray(0.5 * (total + const)), parents, back)
+
+
 def scale_shift(x, gamma, shift):
     """FiLM transform: per-feature for 2-D input, per-channel for 4-D NCHW."""
     if len(x.shape) == 2:
@@ -245,9 +358,11 @@ def scale_shift(x, gamma, shift):
     xd = x.data
 
     def back(g):
-        ggamma = (g * xd).sum(axis=axes)
-        gshift = g.sum(axis=axes)
-        return g * gd, ggamma, gshift
+        return (
+            g * gd if x.requires_grad else None,
+            (g * xd).sum(axis=axes) if gamma.requires_grad else None,
+            g.sum(axis=axes) if shift.requires_grad else None,
+        )
 
     sd = shift.data.reshape(gd.shape)
     return Tensor._result("scale_shift", xd * gd + sd, (x, gamma, shift), back)
@@ -302,9 +417,12 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     def back(g):
         gmat = g.reshape(n, f, ho * wo)
-        gw = np.einsum("nfq,npq->fp", gmat, cols).reshape(f, c, k, k)
-        gcols = np.einsum("fp,nfq->npq", wmat, gmat)
-        gx = _col2im(gcols, x_shape, k, stride, padding, ho, wo)
+        gx = gw = None
+        if kernel.requires_grad:
+            gw = np.einsum("nfq,npq->fp", gmat, cols).reshape(f, c, k, k)
+        if x.requires_grad:
+            gcols = np.einsum("fp,nfq->npq", wmat, gmat)
+            gx = _col2im(gcols, x_shape, k, stride, padding, ho, wo)
         return gx, gw
 
     return Tensor._result("conv2d", out, (x, kernel), back)
@@ -368,7 +486,7 @@ def backward(loss):
             node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if not parent.requires_grad:
+            if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
             if key in grads:

@@ -75,10 +75,15 @@ def _run_cell(args):
         f.write(record.to_json())
     conf, corr = [], []
     if not record.error:
-        n_eval = cfg_runner.gvcl.eval_samples if method in VI_METHODS else 1
+        # point methods never train their log-variances: score the means
+        vi = method in VI_METHODS
+        n_eval = cfg_runner.gvcl.eval_samples if vi else 1
+        mode = "sampled" if vi else "mean"
         rng = np.random.default_rng(seed)
         for spec in tasks[: len(record.result_matrix)]:
-            probs = predict(net, spec.task_id, spec.test.inputs, num_samples=n_eval, rng=rng)
+            probs = predict(
+                net, spec.task_id, spec.test.inputs, num_samples=n_eval, mode=mode, rng=rng
+            )
             conf.append(probs.max(axis=1))
             corr.append((probs.argmax(axis=1) == spec.test.labels).astype(float))
     return method, seed, record, np.concatenate(conf) if conf else np.array([]), (

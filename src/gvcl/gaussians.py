@@ -56,8 +56,12 @@ class ClippedPrecisionPrior:
             raise ValueError("effective precision must be strictly positive")
 
     def effective_precision(self):
-        data_prec = np.maximum(0.0, 1.0 / self.base.var - 1.0 / self.prior0_var)
-        return self.lam * data_prec + 1.0 / self.prior0_var
+        return clipped_precision(self.base.var, self.prior0_var, self.lam)
+
+
+def clipped_precision(var, prior0_var, lam):
+    """lam * max(0, 1/var - 1/prior0_var) + 1/prior0_var, clipped at exactly 0."""
+    return lam * np.maximum(0.0, 1.0 / var - 1.0 / prior0_var) + 1.0 / prior0_var
 
 
 def _check_dims(q, p):

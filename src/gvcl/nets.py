@@ -106,11 +106,10 @@ class MeanFieldLayer:
         """Draw (weight, bias) tensors; noise is a dict or None for eps = 0."""
         if noise is None:
             return self.weight_mu, self.bias_mu
-        w_std = ad.exp(ad.mul(self.weight_logvar, Tensor(np.full((), 0.5))))
-        b_std = ad.exp(ad.mul(self.bias_logvar, Tensor(np.full((), 0.5))))
-        w = ad.add(self.weight_mu, ad.mul(w_std, Tensor(noise["weight"])))
-        b = ad.add(self.bias_mu, ad.mul(b_std, Tensor(noise["bias"])))
-        return w, b
+        return (
+            ad.reparam(self.weight_mu, self.weight_logvar, noise["weight"]),
+            ad.reparam(self.bias_mu, self.bias_logvar, noise["bias"]),
+        )
 
     def posterior(self):
         mu = np.concatenate([self.weight_mu.data.ravel(), self.bias_mu.data.ravel()])

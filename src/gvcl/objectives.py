@@ -1,14 +1,16 @@
 """Training objectives: tempered ELBO, EWC quadratic penalty, curvature.
 
-The ELBO's KL term is built from autodiff ops on the shared-layer
-parameters so gradients flow to means and log-variances; FiLM and head
-parameters enter the likelihood only.
+The ELBO's KL term is one fused ``diag_gauss_kl`` node over the
+shared-layer parameters, so gradients flow to means and log-variances;
+FiLM and head parameters enter the likelihood only. The EWC penalty is
+the same node without log-variances.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -16,6 +18,7 @@ from scipy.optimize import minimize
 from . import autodiff as ad
 from .autodiff import Tensor
 from .gaussians import DiagGaussian
+from .gaussians import clipped_precision as _clipped_prec
 
 
 @dataclass
@@ -50,11 +53,28 @@ class LayerPrior:
     b_var: np.ndarray
     b_prec: np.ndarray
 
+    @cached_property
+    def w_inv_var(self):
+        return 1.0 / self.w_var
+
+    @cached_property
+    def b_inv_var(self):
+        return 1.0 / self.b_var
+
 
 @dataclass
 class NetPrior:
     layers: list
     prior0_var: float
+
+    @cached_property
+    def kl_const(self):
+        """The KL's q-independent part, sum(log v - 1), once per prior."""
+        const = 0.0
+        for lp in self.layers:
+            for pv in (lp.w_var, lp.b_var):
+                const += float(np.sum(np.log(pv)) - pv.size)
+        return const
 
     def flatten(self) -> DiagGaussian:
         mu = np.concatenate([np.r_[l.w_mu.ravel(), l.b_mu.ravel()] for l in self.layers])
@@ -98,28 +118,13 @@ def posterior_to_prior(net, prior0_var: float, lam: float) -> NetPrior:
     return NetPrior(layers, prior0_var)
 
 
-def _clipped_prec(var, prior0_var, lam):
-    return lam * np.maximum(0.0, 1.0 / var - 1.0 / prior0_var) + 1.0 / prior0_var
-
-
 def shared_kl_node(net, prior: NetPrior):
     """Differentiable KL(q_shared || prior) with the lam-tilde quadratic term."""
-    total = None
-    const = 0.0
+    terms = []
     for layer, lp in zip(net.shared, prior.layers):
-        for mu, logvar, pm, pv, prec in (
-            (layer.weight_mu, layer.weight_logvar, lp.w_mu, lp.w_var, lp.w_prec),
-            (layer.bias_mu, layer.bias_logvar, lp.b_mu, lp.b_var, lp.b_prec),
-        ):
-            diff = ad.sub(mu, Tensor(pm))
-            quad = ad.tsum(ad.mul(ad.square(diff), Tensor(prec)))
-            trace = ad.tsum(ad.mul(ad.exp(logvar), Tensor(1.0 / pv)))
-            neg_logdet = ad.tsum(ad.mul(logvar, Tensor(np.full(logvar.shape, -1.0))))
-            const += float(np.sum(np.log(pv)) - pv.size)
-            term = ad.add(ad.add(quad, trace), neg_logdet)
-            total = term if total is None else ad.add(total, term)
-    half = Tensor(np.full((), 0.5))
-    return ad.mul(ad.add(total, Tensor(np.full((), const))), half)
+        terms.append((layer.weight_mu, layer.weight_logvar, lp.w_mu, lp.w_prec, lp.w_inv_var))
+        terms.append((layer.bias_mu, layer.bias_logvar, lp.b_mu, lp.b_prec, lp.b_inv_var))
+    return ad.diag_gauss_kl(terms, prior.kl_const)
 
 
 def nll_node(net, task, x, y, noise):
@@ -131,14 +136,7 @@ def nll_node(net, task, x, y, noise):
 
 
 def _binary_nll(logits, y):
-    # mean of softplus(s * z) with s = 1 - 2y, stable via relu/exp/log ops
-    y = np.asarray(y)
-    s = Tensor((1.0 - 2.0 * y)[:, None])
-    u = ad.mul(logits, s)
-    neg_abs = ad.mul(ad.add(ad.relu(u), ad.relu(ad.mul(u, Tensor(np.full((), -1.0))))),
-                     Tensor(np.full((), -1.0)))
-    softplus = ad.add(ad.relu(u), ad.log(ad.add(ad.exp(neg_abs), Tensor(np.ones(u.shape)))))
-    return ad.tmean(softplus)
+    return ad.tmean(ad.sigmoid_cross_entropy(logits, y))
 
 
 def beta_elbo_loss(net, task, x, y, prior: NetPrior, cfg: GVCLConfig, n_task: int, rng):
@@ -183,6 +181,8 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
 
     empirical: squared gradients at observed labels, averaged then scaled
     by the dataset size; model: labels drawn from the net's predictive.
+    One generator, rng or else default_rng(0), draws both the subsample of
+    max_samples examples and the model-mode labels.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -191,9 +191,11 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
         raise ValueError("fisher_diag: empty dataset")
     if mode not in ("empirical", "model"):
         raise ValueError(f"unknown fisher mode {mode!r}")
+    if rng is None:
+        rng = np.random.default_rng(0)
     idx = np.arange(n_total)
     if max_samples is not None and max_samples < n_total:
-        idx = (rng or np.random.default_rng(0)).choice(n_total, max_samples, replace=False)
+        idx = rng.choice(n_total, max_samples, replace=False)
     params = [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
     acc = np.zeros(sum(p.size for p in params))
     for i in idx:
@@ -203,7 +205,7 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
             from .nets import predict
 
             probs = predict(net, task, xi, mode="mean")
-            yi = np.array([(rng or np.random.default_rng(0)).choice(len(probs[0]), p=probs[0])])
+            yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
             if net.arch.binary_logit:
                 yi = yi.astype(y.dtype)
         for p in params:
@@ -225,7 +227,7 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
 
 def ewc_penalty_node(net, state: EWCState):
     """(lam/2) sum_i fisher_acc_i (theta_i - anchor_i)^2 as a graph node."""
-    total = None
+    terms = []
     offset = 0
     for layer in net.shared:
         for mu in (layer.weight_mu, layer.bias_mu):
@@ -233,9 +235,8 @@ def ewc_penalty_node(net, state: EWCState):
             f = state.fisher_acc[offset : offset + n].reshape(mu.shape)
             a = state.anchor_mu[offset : offset + n].reshape(mu.shape)
             offset += n
-            term = ad.tsum(ad.mul(ad.square(ad.sub(mu, Tensor(a))), Tensor(f)))
-            total = term if total is None else ad.add(total, term)
-    return ad.mul(total, Tensor(np.full((), 0.5 * state.lam)))
+            terms.append((mu, None, a, state.lam * f, None))
+    return ad.diag_gauss_kl(terms)
 
 
 def ewc_loss(net, task, x, y, state: EWCState, n_task=None):

@@ -203,3 +203,145 @@ def test_no_grad_leaves_are_skipped():
     ad.backward(ad.tsum(ad.mul(a, c)))
     assert c.grad is None
     assert np.array_equal(a.grad, np.ones(3))
+
+
+# -- fused Gaussian ops --------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reparam_gradients(seed):
+    rng = np.random.default_rng(seed)
+    mud, lvd, eps = rng.normal(size=(3, 4)), rng.uniform(-2, 1, (3, 4)), rng.normal(size=(3, 4))
+
+    def scalar(arrs):
+        return float(np.sum(np.square(ad.reparam(Tensor(arrs[0]), Tensor(arrs[1]), eps).data)))
+
+    mu, lv = Tensor(mud, requires_grad=True), Tensor(lvd, requires_grad=True)
+    ad.backward(ad.tsum(ad.square(ad.reparam(mu, lv, eps))))
+    arrs = [mud, lvd]
+    assert_close(mu.grad, numgrad(scalar, arrs, 0))
+    assert_close(lv.grad, numgrad(scalar, arrs, 1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reparam_bit_equal_to_op_chain(seed):
+    rng = np.random.default_rng(seed)
+    mud, lvd, eps = rng.normal(size=(5, 3)), rng.uniform(-14, 1, (5, 3)), rng.normal(size=(5, 3))
+    weights = Tensor(rng.normal(size=(5, 3)))
+
+    def chain(mu, lv):
+        std = ad.exp(ad.mul(lv, Tensor(np.full((), 0.5))))
+        return ad.add(mu, ad.mul(std, Tensor(eps)))
+
+    outs, grads = [], []
+    for draw in (chain, lambda mu, lv: ad.reparam(mu, lv, eps)):
+        mu, lv = Tensor(mud, requires_grad=True), Tensor(lvd, requires_grad=True)
+        out = draw(mu, lv)
+        ad.backward(ad.tsum(ad.mul(out, weights)))
+        outs.append(out.data)
+        grads.append((mu.grad, lv.grad))
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
+
+
+def _kl_terms(rng):
+    shapes = [(3, 2), (2,)]
+    data = [(rng.normal(size=s), rng.uniform(-2, 1, s)) for s in shapes]
+    priors = [
+        (rng.normal(size=s), rng.uniform(0.5, 3.0, s), rng.uniform(0.2, 2.0, s)) for s in shapes
+    ]
+    return data, priors
+
+
+@pytest.mark.parametrize("with_logvar", [True, False])
+def test_diag_gauss_kl_gradients(with_logvar):
+    rng = np.random.default_rng(4)
+    data, priors = _kl_terms(rng)
+    arrs = [a for pair in data for a in pair]  # mu0, lv0, mu1, lv1
+
+    def node(arrs, grad=False):
+        ts = [Tensor(a, requires_grad=grad) for a in arrs]
+        terms = [
+            (ts[2 * i], ts[2 * i + 1] if with_logvar else None, m, prec, 1.0 / v)
+            for i, (m, prec, v) in enumerate(priors)
+        ]
+        return ad.diag_gauss_kl(terms, const=1.5), ts
+
+    out, ts = node(arrs, grad=True)
+    ad.backward(out)
+
+    def scalar(a):
+        return float(node(a)[0].data)
+
+    for i, t in enumerate(ts):
+        if i % 2 and not with_logvar:
+            assert t.grad is None
+            continue
+        assert_close(t.grad, numgrad(scalar, arrs, i))
+
+
+def test_diag_gauss_kl_matches_kl_lambda_tilde():
+    from gvcl.gaussians import ClippedPrecisionPrior, DiagGaussian, kl_lambda_tilde
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        q = DiagGaussian(rng.normal(size=n), rng.uniform(0.1, 2.0, n))
+        base = DiagGaussian(rng.normal(size=n), rng.uniform(0.1, 2.0, n))
+        prior = ClippedPrecisionPrior(base, np.full(n, 1.5), float(rng.uniform(1.0, 50.0)))
+        prec = prior.effective_precision()
+        k = n // 2  # two tensors, to cover the sum over terms
+        terms = [
+            (Tensor(q.mu[s]), Tensor(np.log(q.var[s])), base.mu[s], prec[s], 1.0 / base.var[s])
+            for s in (slice(0, k), slice(k, n))
+        ]
+        const = float(np.sum(np.log(base.var)) - n)
+        got = float(ad.diag_gauss_kl(terms, const).data)
+        assert got == pytest.approx(kl_lambda_tilde(q, prior), rel=1e-12, abs=1e-12)
+    mu, lv = Tensor(np.zeros(3)), Tensor(np.zeros(3))
+    with pytest.raises(ShapeError):
+        ad.diag_gauss_kl([(mu, lv, np.zeros(3), np.ones(2), np.ones(3))])
+    with pytest.raises(ShapeError):
+        ad.diag_gauss_kl([(mu, lv, np.zeros(3), np.ones(3), np.ones(()))])
+    with pytest.raises(ShapeError):
+        ad.reparam(mu, lv, np.zeros(2))
+
+
+def test_sigmoid_cross_entropy_closed_form_and_gradient():
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(7, 1)) * 6
+    y = rng.integers(0, 2, size=7)
+    p = 1.0 / (1.0 + np.exp(-z[:, 0]))
+    losses = ad.sigmoid_cross_entropy(Tensor(z), y).data
+    assert np.allclose(losses, -(y * np.log(p) + (1 - y) * np.log(1 - p)), atol=1e-12)
+
+    zt = Tensor(z, requires_grad=True)
+    ad.backward(ad.tmean(ad.sigmoid_cross_entropy(zt, y)))
+
+    def scalar(arrs):
+        return float(ad.sigmoid_cross_entropy(Tensor(arrs[0]), y).data.mean())
+
+    assert_close(zt.grad, numgrad(scalar, [z.copy()], 0))
+    with pytest.raises(ShapeError):
+        ad.sigmoid_cross_entropy(Tensor(np.zeros((3, 2))), np.zeros(3))
+    with pytest.raises(ShapeError):
+        ad.sigmoid_cross_entropy(Tensor(np.zeros((3, 1))), np.zeros(2))
+
+
+def test_constant_parent_gradient_not_computed(monkeypatch):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(4, 3)))  # data: a constant
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    out = ad.matmul(x, w)
+    gx, gw = out._backward(np.ones(out.shape))
+    assert gx is None and np.array_equal(gw, x.data.T @ np.ones((4, 2)))
+
+    def no_col2im(*args):
+        raise AssertionError("image gradient computed for a constant input")
+
+    monkeypatch.setattr(ad, "_col2im", no_col2im)
+    img = Tensor(rng.normal(size=(2, 3, 5, 5)))
+    k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    ad.backward(ad.tsum(ad.conv2d(img, k, padding=1)))
+    assert img.grad is None and k.grad.shape == k.shape

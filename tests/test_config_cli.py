@@ -128,3 +128,34 @@ def test_cli_run_split_mnist_needs_data_root(tmp_path):
         main(["run", str(ini), "--out", str(tmp_path / "r")])
     with pytest.raises(FileNotFoundError):
         main(["run", str(ini), "--data-root", str(tmp_path), "--out", str(tmp_path / "r")])
+
+
+def test_point_method_ece_scores_mean_predictions(tmp_path, monkeypatch):
+    # ewc and map_sgd never train their log-variances, so their calibration
+    # inputs must come from the trained means, not from a sampled net
+    from pathlib import Path
+
+    import numpy as np
+
+    from gvcl import cli
+    from gvcl.nets import predict
+
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_clusters.ini")
+    tasks = cli.build_tasks(cfg.dataset, None, cfg.data_seed)
+    nets = []
+    run = cli.run_continual
+
+    def keep_net(*args, **kwargs):
+        record, net = run(*args, **kwargs)
+        nets.append(net)
+        return record, net
+
+    monkeypatch.setattr(cli, "run_continual", keep_net)
+    for method in ("ewc", "map_sgd"):
+        _, _, record, conf, corr = cli._run_cell(
+            (method, 0, cfg.runner, tasks, str(tmp_path / method))
+        )
+        probs = [predict(nets[-1], t.task_id, t.test.inputs, mode="mean") for t in tasks]
+        assert np.array_equal(conf, np.concatenate([p.max(axis=1) for p in probs]))
+        want = [(p.argmax(axis=1) == t.test.labels).astype(float) for p, t in zip(probs, tasks)]
+        assert np.array_equal(corr, np.concatenate(want))

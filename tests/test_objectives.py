@@ -206,3 +206,59 @@ def test_binary_nll_matches_closed_form():
     p = 1.0 / (1.0 + np.exp(-z[:, 0]))
     ref = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
     assert out == pytest.approx(ref, abs=1e-12)
+
+
+def test_fisher_model_mode_draws_labels_from_one_generator(monkeypatch):
+    # rng=None means one default_rng(0) per call: the subsample and every
+    # sampled label come from the same stream, not a fresh seed per example
+    net = tiny_net(seed=13)
+    x, y = batch(seed=14, n=12)
+    drawn = []
+    nll = obj.nll_node
+
+    def spy(net, task, xi, yi, noise):
+        drawn.append(int(yi[0]))
+        return nll(net, task, xi, yi, noise)
+
+    monkeypatch.setattr(obj, "nll_node", spy)
+    f_default = fisher_diag(net, "a", x, y, mode="model", max_samples=10)
+    labels_default = drawn[:]
+    drawn.clear()
+    f_seeded = fisher_diag(net, "a", x, y, mode="model", max_samples=10,
+                           rng=np.random.default_rng(0))
+    assert labels_default == drawn
+    assert np.array_equal(f_default, f_seeded)
+    assert len(set(labels_default)) > 1
+
+
+def _op_nodes(loss):
+    """Non-leaf graph nodes reachable from a loss."""
+    seen, stack, ops = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += node._op != "leaf"
+        stack.extend(node._parents)
+    return ops
+
+
+@pytest.mark.parametrize("arch,limit", [
+    # criterion 7: 12-8 MLP with FiLM and a task head
+    (Architecture.mlp(input_dim=12, hidden=(8,)), 15),
+    # criterion 4: the 2-D logistic net
+    (Architecture.logistic(), 9),
+])
+def test_elbo_graph_stays_fused(arch, limit):
+    # the draw, the KL and the binary NLL are one node each; a refactor
+    # that splits them into elementwise ops again fails here
+    net = init_net(arch, 0)
+    rng = np.random.default_rng(1)
+    net.add_task("a", 3, rng)
+    prior = posterior_to_prior(net, 1.0, lam=2.0)
+    n_in = arch.weighted_specs()[0].dims[0]
+    x = rng.normal(size=(5, n_in))
+    y = rng.integers(0, 3 if arch.head_in else 2, size=5)
+    loss = beta_elbo_loss(net, "a", x, y, prior, GVCLConfig(beta=0.5), 5, rng)
+    assert _op_nodes(loss) <= limit
