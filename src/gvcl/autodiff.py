@@ -4,20 +4,27 @@ Covers exactly the ops needed for mean-field MLPs, small 2-D convolutions
 and Gaussian ELBO terms: elementwise arithmetic, matmul, conv2d (stride 1
 or 2, square kernel, zero padding), relu/sigmoid/log/exp/square,
 sum/mean reductions, softmax and sigmoid cross-entropy and the
-per-feature / per-channel scale-shift used by FiLM layers. Three fused
-Gaussian ops each build one node with a closed-form backward:
-``reparam`` (the draw mu + exp(logvar / 2) * eps), ``diag_gauss_kl``
-(the clipped diagonal-Gaussian KL over many tensors, or its quadratic
-term alone, the Online-EWC penalty) and ``sigmoid_cross_entropy``.
+per-feature / per-channel scale-shift used by FiLM layers. Fused ops each
+build one node with a closed-form backward: ``dense`` (a whole dense
+layer, relu((x @ w + b) * gamma + shift)), ``reparam`` (the draw
+mu + exp(logvar / 2) * eps), ``diag_gauss_kl`` (the clipped
+diagonal-Gaussian KL over many tensors, or its quadratic term alone, the
+Online-EWC penalty) and ``sigmoid_cross_entropy``.
 
-All data is float64. Tensors are immutable values; building an op appends
-a node to an implicit tape (the parent links), and ``backward`` walks the
-tape once in reverse topological order. An op computes a parent's
-gradient only when that parent requires one, so constants such as the
-input data cost nothing in the backward pass.
+All data is float64. Tensors are immutable values, numbered in creation
+order; an op's result links to its parents, so creation order is a
+topological order. ``backward`` walks the nodes reachable from the loss
+in reverse creation order, keeping each node's pending gradient on the
+node. An op computes a parent's gradient only when that parent requires
+one, so constants such as the input data cost nothing in the backward
+pass. Inside ``with no_grad():`` ops keep no parents and no closures,
+which is how evaluation runs.
 """
 
 from __future__ import annotations
+
+import heapq
+from itertools import count
 
 import numpy as np
 
@@ -35,10 +42,32 @@ def _check_finite(op, arr):
         raise NonFiniteError(f"{op}: non-finite values in forward output")
 
 
+_creation = count()
+_grad_enabled = True
+
+
+class no_grad:
+    """Context in which ops record no graph: no parents, no closures.
+
+    The flag it sets is process-wide and restored on exit, exceptions
+    included; gvcl runs one cell per process, single-threaded.
+    """
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev, _grad_enabled = _grad_enabled, False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
+
+
 class Tensor:
     """Dense float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = (
+        "data", "requires_grad", "grad", "_parents", "_backward", "_op", "_seq", "_pending"
+    )
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -47,6 +76,8 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = "leaf"
+        self._seq = next(_creation)
+        self._pending = None
 
     @property
     def shape(self):
@@ -64,13 +95,11 @@ class Tensor:
     @staticmethod
     def _result(op, data, parents, backward):
         _check_finite(op, data)
-        out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+        out = Tensor(data, _grad_enabled and any(p.requires_grad for p in parents))
+        out._op = op
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
-            out._op = op
-        else:
-            out._op = op
         return out
 
     # -- elementwise arithmetic -------------------------------------------
@@ -368,6 +397,56 @@ def scale_shift(x, gamma, shift):
     return Tensor._result("scale_shift", xd * gd + sd, (x, gamma, shift), back)
 
 
+def dense(x, w, b, gamma=None, shift=None, relu=True):
+    """A dense layer, relu((x @ w + b) * gamma + shift), as one node.
+
+    FiLM (gamma, shift) and the ReLU are optional. The forward works in
+    place on the matmul's output and checks finiteness once, at the end:
+    NaN and Inf survive +b, *gamma, +shift and the ReLU mask, so that is
+    as strict as a check after every step. Forward and backward repeat
+    the numpy work of the chain matmul -> add -> scale_shift -> relu, so
+    both are bit-identical to it.
+    """
+    if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense: shapes {x.shape} and {w.shape} do not conform")
+    width = (w.shape[1],)
+    film = gamma is not None
+    if b.shape != width or film and (gamma.shape != width or shift.shape != width):
+        raise ShapeError(f"dense: bias or FiLM params do not match weight {w.shape}")
+    parents = (x, w, b, gamma, shift) if film else (x, w, b)
+    track = _grad_enabled and any(p.requires_grad for p in parents)
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    if film:
+        gd = gamma.data[None, :]
+        pre = out.copy() if track and gamma.requires_grad else None
+        out *= gd
+        out += shift.data
+    if relu:
+        mask = out > 0
+        out *= mask
+    through = x.requires_grad or w.requires_grad or b.requires_grad
+
+    def back(g):
+        if relu:
+            g = g * mask
+        gg = gs = None
+        if film:
+            gg = (g * pre).sum(axis=0) if gamma.requires_grad else None
+            gs = g.sum(axis=0) if shift.requires_grad else None
+            if through:
+                g = g * gd
+        grads = (
+            g @ wd.T if x.requires_grad else None,
+            xd.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+        return grads + (gg, gs) if film else grads
+
+    return Tensor._result("dense", out, parents, back)
+
+
 # -- convolution -----------------------------------------------------------
 
 
@@ -459,37 +538,33 @@ def reshape(x, shape):
 
 
 def backward(loss):
-    """Accumulate gradients of a scalar loss into every requires_grad leaf."""
+    """Accumulate gradients of a scalar loss into every requires_grad leaf.
+
+    Nodes are visited in reverse creation order (a max-heap on the
+    creation number), so each node's pending gradient is complete before
+    its backward runs.
+    """
     if loss.shape != ():
         raise ShapeError(f"backward: loss shape {loss.shape} is not scalar")
-    order = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-
-    grads = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+    if not loss.requires_grad:
+        return
+    loss._pending = np.ones((), dtype=np.float64)
+    heap = [(-loss._seq, loss)]
+    try:
+        while heap:
+            node = heapq.heappop(heap)[1]
+            g, node._pending = node._pending, None
+            if node._backward is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = np.array(pg, dtype=np.float64, copy=True)
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent._pending is None:
+                    parent._pending = pg
+                    heapq.heappush(heap, (-parent._seq, parent))
+                else:
+                    parent._pending = parent._pending + pg
+    finally:
+        for _, node in heap:  # only after a failed op backward
+            node._pending = None

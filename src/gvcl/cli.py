@@ -171,6 +171,7 @@ def _verify_checks():
     from . import autodiff as ad
     from .autodiff import Tensor
     from .gaussians import DiagGaussian, film_optimal_scale, kl_diag, kl_lambda, scaled_kl, temper
+    from .objectives import curvature_probe
 
     rng = np.random.default_rng(0)
 
@@ -185,15 +186,12 @@ def _verify_checks():
         return abs(kl_diag(q, q)) < 1e-12
 
     def conjugate_posterior():
-        # N observations of N(theta, s2) with N(0,1) prior
-        n, s2 = 50, 2.0
-        x = rng.normal(1.3, np.sqrt(s2), n)
-        prec = n / s2 + 1.0
-        mu = x.sum() / s2 / prec
-        exact = DiagGaussian(np.array([mu]), np.array([1.0 / prec]))
-        lik_prec = n / s2
-        post_prec = lik_prec + 1.0
-        return abs(exact.var[0] - 1.0 / post_prec) < 1e-12
+        # tempered VI on the linear 1-parameter model recovers the exact
+        # likelihood curvature variance sigma^2 / N = 30 / 1000 at every beta
+        return all(
+            abs(curvature_probe(beta, "linear", 0) / (30.0 / 1000) - 1.0) < 1e-3
+            for beta in (0.25, 1.0, 4.0)
+        )
 
     def film_scale_optimum():
         for _ in range(5):

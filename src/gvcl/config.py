@@ -2,7 +2,7 @@
 
 An experiment names a dataset, a method list and a seed list, and carries
 the full trainer configuration. `from_ini(to_ini(cfg))` reproduces the
-dataclass exactly.
+dataclass exactly; an unknown section or key is an error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .objectives import GVCLConfig
 from .runner import METHODS, RunnerConfig
 
 DATASETS = ("split_mnist", "toy_clusters", "synthetic_pair")
+SECTIONS = ("experiment", "runner", "gvcl")
 
 
 @dataclass
@@ -47,9 +48,14 @@ def _set_section(parser, section, obj, skip=()):
 
 def _read_section(parser, section, cls, **extra):
     kwargs = dict(extra)
-    for f in dataclasses.fields(cls):
-        if f.name in kwargs:
-            continue
+    known = [f for f in dataclasses.fields(cls) if f.name not in kwargs]
+    unknown = sorted(set(parser.options(section)) - {f.name for f in known})
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) in [{section}]: {', '.join(unknown)}; "
+            f"expected some of {', '.join(f.name for f in known)}"
+        )
+    for f in known:
         if parser.has_option(section, f.name):
             kwargs[f.name] = _coerce(parser.get(section, f.name), f.type)
     return cls(**kwargs)
@@ -89,6 +95,11 @@ def to_ini(cfg: ExperimentConfig) -> str:
 def from_ini(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
+    unknown = sorted(set(parser.sections()) - set(SECTIONS))
+    if unknown:
+        raise ValueError(
+            f"unknown section(s) {', '.join(unknown)}; expected some of {', '.join(SECTIONS)}"
+        )
     gvcl = _read_section(parser, "gvcl", GVCLConfig) if parser.has_section("gvcl") else GVCLConfig()
     runner = (
         _read_section(parser, "runner", RunnerConfig, gvcl=gvcl)

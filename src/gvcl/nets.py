@@ -187,23 +187,23 @@ class VariationalNet:
                 continue
             layer = self.shared[w_idx]
             w, b = layer.sample(_sub_noise(noise, f"shared.{w_idx}"))
-            if spec.kind == "dense":
-                h = ad.add(ad.matmul(h, w), b)
-            else:
-                _, _, _, pad, stride = spec.dims
-                h = ad.conv2d(h, w, stride=stride, padding=pad)
-                h = _conv_bias(h, b)
-            if spec.film and self.film_enabled:
-                fp = self.film[task][film_idx]
-                h = ad.scale_shift(h, fp.gamma, fp.shift)
-            if spec.film:
-                film_idx += 1
-            h = ad.relu(h) if not self._is_output(w_idx) else h
+            fp = self.film[task][film_idx] if spec.film and self.film_enabled else None
+            film_idx += spec.film
+            hidden = not self._is_output(w_idx)
             w_idx += 1
+            if spec.kind == "dense":
+                gamma, shift = (fp.gamma, fp.shift) if fp is not None else (None, None)
+                h = ad.dense(h, w, b, gamma, shift, relu=hidden)
+                continue
+            _, _, _, pad, stride = spec.dims
+            h = _conv_bias(ad.conv2d(h, w, stride=stride, padding=pad), b)
+            if fp is not None:
+                h = ad.scale_shift(h, fp.gamma, fp.shift)
+            h = ad.relu(h) if hidden else h
         if self.arch.head_in:
             head = self.heads[task]
             w, b = head.sample(_sub_noise(noise, f"head.{task!r}"))
-            h = ad.add(ad.matmul(h, w), b)
+            h = ad.dense(h, w, b, relu=False)
         return h
 
     def _is_output(self, w_idx):
@@ -286,20 +286,25 @@ def init_net(arch: Architecture, seed: int, init_logvar=DEFAULT_INIT_LOGVAR) -> 
 
 
 def predict(net, task, x, num_samples=1, mode="sampled", rng=None):
-    """Class probabilities averaged over posterior samples (softmax per draw)."""
+    """Class probabilities averaged over posterior samples (softmax per draw).
+
+    The forward passes run under ``no_grad``: they record no graph.
+    """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     if mode not in ("sampled", "mean"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "mean":
-        logits = net.forward_sample(task, x, noise=None).data
+        with ad.no_grad():
+            logits = net.forward_sample(task, x, noise=None).data
         return _probs(logits, net.arch.binary_logit)
     if rng is None:
         rng = np.random.default_rng(0)
     acc = None
     for _ in range(num_samples):
         noise = net.sample_noise(task, rng)
-        logits = net.forward_sample(task, x, noise=noise).data
+        with ad.no_grad():
+            logits = net.forward_sample(task, x, noise=noise).data
         p = _probs(logits, net.arch.binary_logit)
         acc = p if acc is None else acc + p
     return acc / num_samples
@@ -353,12 +358,21 @@ def save_checkpoint(net, path):
 
 
 def load_checkpoint(net, path):
-    """Load values into an already-structured net; shapes must match."""
+    """Load values into an already-structured net; names and shapes must match.
+
+    Every net parameter must be in the file, and every file entry in the
+    net. The whole file is checked before any value is set, so a bad file
+    leaves the net unchanged.
+    """
     with open(path) as f:
         doc = json.load(f)
     if doc.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     named = net.named_params()
+    missing = sorted(set(named) - set(doc["params"]))
+    if missing:
+        raise KeyError(f"checkpoint lacks net parameters: {', '.join(missing)}")
+    values = {}
     for name, entry in doc["params"].items():
         if name not in named:
             raise KeyError(f"checkpoint parameter {name} not present in net")
@@ -366,4 +380,6 @@ def load_checkpoint(net, path):
         vals = np.array([float.fromhex(h) for h in entry["hex"]])
         if list(t.shape) != entry["shape"]:
             raise ValueError(f"shape mismatch for {name}")
-        t.data = vals.reshape(t.shape)
+        values[name] = vals.reshape(t.shape)
+    for name, vals in values.items():
+        named[name].data = vals

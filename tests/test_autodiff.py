@@ -345,3 +345,101 @@ def test_constant_parent_gradient_not_computed(monkeypatch):
     k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
     ad.backward(ad.tsum(ad.conv2d(img, k, padding=1)))
     assert img.grad is None and k.grad.shape == k.shape
+
+
+# -- fused dense layer, no_grad and backward order ------------------------------
+
+
+def _dense_chain(x, w, b, gamma, shift, relu):
+    h = ad.add(ad.matmul(x, w), b)
+    if gamma is not None:
+        h = ad.scale_shift(h, gamma, shift)
+    return ad.relu(h) if relu else h
+
+
+def _dense_arrays(seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=5),
+            rng.uniform(0.5, 1.5, 5), rng.normal(size=5)]
+
+
+@pytest.mark.parametrize("film", [True, False])
+@pytest.mark.parametrize("relu", [True, False])
+def test_dense_gradients(film, relu):
+    arrs = _dense_arrays(8)
+    weights = np.random.default_rng(9).normal(size=(6, 5))
+
+    def forward(arrs, grad=False):
+        ts = [Tensor(a, requires_grad=grad) for a in arrs]
+        gamma, shift = (ts[3], ts[4]) if film else (None, None)
+        return ad.dense(ts[0], ts[1], ts[2], gamma, shift, relu=relu), ts
+
+    out, ts = forward(arrs, grad=True)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(weights))))
+
+    def scalar(a):
+        return float((forward(a)[0].data * weights).sum())
+
+    for i, t in enumerate(ts):
+        if i >= 3 and not film:
+            assert t.grad is None
+            continue
+        assert_close(t.grad, numgrad(scalar, arrs, i))
+
+
+@pytest.mark.parametrize("film", [True, False])
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("trainable", [range(5), range(1, 5), range(3, 5)])
+def test_dense_bit_equal_to_op_chain(film, relu, trainable):
+    # trainable: all inputs, all but the data, or the FiLM params alone
+    arrs = _dense_arrays(10)
+    weights = Tensor(np.random.default_rng(11).normal(size=(6, 5)))
+    outs, grads = [], []
+    for layer in (_dense_chain, ad.dense):
+        ts = [Tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrs)]
+        gamma, shift = (ts[3], ts[4]) if film else (None, None)
+        out = layer(ts[0], ts[1], ts[2], gamma, shift, relu)
+        ad.backward(ad.tsum(ad.mul(out, weights)))
+        outs.append(out.data.tobytes())
+        grads.append([None if t.grad is None else t.grad.tobytes() for t in ts])
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
+def test_dense_non_finite_raises():
+    x, w, b, gamma, shift = (Tensor(a) for a in _dense_arrays(12))
+    x_inf = Tensor(np.where(np.arange(24).reshape(6, 4) == 5, np.inf, x.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.dense(x_inf, w, b, gamma, shift)
+        with pytest.raises(NonFiniteError):  # the matmul overflows
+            ad.dense(Tensor(x.data * 1e300), Tensor(w.data * 1e300), b)
+        with pytest.raises(NonFiniteError):  # the FiLM scale overflows
+            ad.dense(Tensor(x.data * 1e200), Tensor(w.data * 1e100), b,
+                     Tensor(np.full(5, 1e300)), shift, relu=False)
+    with pytest.raises(ShapeError):
+        ad.dense(x, Tensor(np.zeros((5, 5))), b)
+    with pytest.raises(ShapeError):
+        ad.dense(x, w, b, Tensor(np.ones(4)), shift)
+
+
+def test_no_grad_records_no_graph_and_restores():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with ad.no_grad():
+        out = ad.mul(a, a)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside no_grad")
+    out = ad.mul(a, a)
+    assert out.requires_grad and len(out._parents) == 2
+
+
+def test_node_with_three_consumers_accumulates():
+    xd = np.array([0.5, -1.0, 2.0])
+    c = np.array([3.0, 1.0, -2.0])
+    x = Tensor(xd, requires_grad=True)
+    h = ad.mul(x, Tensor(np.full((), 2.0)))  # consumed three times below
+    loss = ad.add(ad.add(ad.tsum(h), ad.tsum(ad.square(h))), ad.tsum(ad.mul(h, Tensor(c))))
+    ad.backward(loss)
+    assert np.allclose(x.grad, 2.0 * (1.0 + 2.0 * (2.0 * xd) + c), rtol=0, atol=1e-12)

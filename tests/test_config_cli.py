@@ -66,6 +66,25 @@ def test_defaults_fill_missing_sections():
     assert cfg.runner == RunnerConfig()
 
 
+def test_unknown_sections_and_keys_rejected():
+    good = "[experiment]\nname = 'x'\n[runner]\nmap_lr = 0.1\n[gvcl]\neval_samples = 3\n"
+    assert from_ini(good).runner.gvcl.eval_samples == 3
+    for section, key in (("experiment", "seed"), ("runner", "map_rl"), ("gvcl", "eval_sample")):
+        bad = good.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ValueError, match=key):
+            from_ini(bad)
+    with pytest.raises(ValueError, match="gvlc"):
+        from_ini(good + "[gvlc]\nbeta = 0.5\n")
+    with pytest.raises(ValueError, match="runner"):  # the nested section, not a key
+        from_ini("[experiment]\nrunner = 1\n")
+
+
+def test_shipped_config_loads():
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "toy_clusters.ini")
+    cfg = load_config(path)
+    assert cfg.name == "toy_clusters_demo" and cfg.runner.gvcl.eval_samples == 20
+
+
 # -- CLI ----------------------------------------------------------------------
 
 

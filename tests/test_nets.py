@@ -153,6 +153,25 @@ def test_predict_mc_average_self_consistent():
     assert np.all(np.abs(big - draws.mean(axis=0)) <= 3 * se + 1e-3)
 
 
+def test_predict_records_no_graph(monkeypatch):
+    net = small_net(seed=15)
+    x = np.random.default_rng(16).normal(size=(4, 3))
+    logits = []
+    forward = net.forward_sample
+
+    def spy(*args, **kwargs):
+        logits.append(forward(*args, **kwargs))
+        return logits[-1]
+
+    monkeypatch.setattr(net, "forward_sample", spy)
+    predict(net, "a", x, num_samples=2, rng=np.random.default_rng(0))
+    predict(net, "b", x, mode="mean")
+    assert len(logits) == 3
+    for out in logits:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    assert net.forward_sample("a", x)._parents  # outside predict a graph is built
+
+
 def test_initial_kl_finite_positive():
     net = small_net(seed=14)
     val = float(shared_kl_node(net, initial_prior(net, 1.0)).data)
@@ -223,6 +242,30 @@ def test_checkpoint_errors(tmp_path):
     smaller.add_task("a", 4, np.random.default_rng(1))
     with pytest.raises(KeyError):
         load_checkpoint(smaller, path)
+
+
+def test_checkpoint_bad_file_loads_nothing(tmp_path):
+    import json
+
+    net = small_net(seed=20)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(net, path)
+    doc = json.loads(path.read_text())
+    del doc["params"]["shared.1.bias_logvar"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc))
+    other = small_net(seed=21)
+    before = {k: t.data.copy() for k, t in other.named_params().items()}
+    with pytest.raises(KeyError, match="shared.1.bias_logvar"):
+        load_checkpoint(other, partial)
+    doc = json.loads(path.read_text())
+    doc["params"][list(doc["params"])[-1]]["shape"] = [1, 1]  # the last entry is bad
+    bad_last = tmp_path / "bad_last.json"
+    bad_last.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_checkpoint(other, bad_last)
+    for k, t in other.named_params().items():  # nothing was loaded
+        assert np.array_equal(t.data, before[k]), k
 
 
 def test_add_task_twice_raises():

@@ -246,13 +246,15 @@ def _op_nodes(loss):
 
 @pytest.mark.parametrize("arch,limit", [
     # criterion 7: 12-8 MLP with FiLM and a task head
-    (Architecture.mlp(input_dim=12, hidden=(8,)), 15),
+    (Architecture.mlp(input_dim=12, hidden=(8,)), 11),
     # criterion 4: the 2-D logistic net
-    (Architecture.logistic(), 9),
+    (Architecture.logistic(), 8),
+    # the Split-MNIST 784-256-256 FiLM MLP
+    (Architecture.mlp(), 14),
 ])
 def test_elbo_graph_stays_fused(arch, limit):
-    # the draw, the KL and the binary NLL are one node each; a refactor
-    # that splits them into elementwise ops again fails here
+    # the draw, each dense layer, the KL and the binary NLL are one node
+    # each; a refactor that splits them into elementwise ops again fails here
     net = init_net(arch, 0)
     rng = np.random.default_rng(1)
     net.add_task("a", 3, rng)
