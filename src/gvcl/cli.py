@@ -26,8 +26,7 @@ import numpy as np
 from . import metrics, toys
 from .config import ExperimentConfig, load_config
 from .data import gen_toy_clusters, load_idx, make_split_tasks, write_idx
-from .nets import predict
-from .runner import RunnerConfig, VI_METHODS, run_continual
+from .runner import run_continual
 
 SPLIT_MNIST_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
@@ -70,25 +69,10 @@ def build_tasks(dataset, data_root, data_seed):
 def _run_cell(args):
     method, seed, cfg_runner, tasks, cell_dir = args
     os.makedirs(cell_dir, exist_ok=True)
-    record, net = run_continual(method, tasks, cfg_runner, seed, out_dir=cell_dir)
+    record, _ = run_continual(method, tasks, cfg_runner, seed, out_dir=cell_dir)
     with open(os.path.join(cell_dir, "record.json"), "w") as f:
         f.write(record.to_json())
-    conf, corr = [], []
-    if not record.error:
-        # point methods never train their log-variances: score the means
-        vi = method in VI_METHODS
-        n_eval = cfg_runner.gvcl.eval_samples if vi else 1
-        mode = "sampled" if vi else "mean"
-        rng = np.random.default_rng(seed)
-        for spec in tasks[: len(record.result_matrix)]:
-            probs = predict(
-                net, spec.task_id, spec.test.inputs, num_samples=n_eval, mode=mode, rng=rng
-            )
-            conf.append(probs.max(axis=1))
-            corr.append((probs.argmax(axis=1) == spec.test.labels).astype(float))
-    return method, seed, record, np.concatenate(conf) if conf else np.array([]), (
-        np.concatenate(corr) if corr else np.array([])
-    )
+    return method, seed, record
 
 
 def cmd_run(config_path, jobs, data_root, out_root):
@@ -110,7 +94,7 @@ def cmd_run(config_path, jobs, data_root, out_root):
     with open(os.path.join(exp_dir, "summary.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "seed", "acc", "bwt", "ece", "error"])
-        for method, seed, record, conf, corr in results:
+        for method, seed, record in results:
             if record.error or not record.result_matrix:
                 w.writerow([method, seed, "", "", "", record.error or "no results"])
                 continue
@@ -120,17 +104,17 @@ def cmd_run(config_path, jobs, data_root, out_root):
                     seed,
                     f"{metrics.acc(record.result_matrix):.6f}",
                     f"{metrics.bwt(record.result_matrix):.6f}",
-                    f"{metrics.ece(conf, corr):.6f}",
+                    f"{metrics.ece(record.confidence, record.correct):.6f}",
                     "",
                 ]
             )
     with open(os.path.join(exp_dir, "calibration.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "seed", "bin", "mean_confidence", "accuracy", "count"])
-        for method, seed, record, conf, corr in results:
-            if record.error or conf.size == 0:
+        for method, seed, record in results:
+            if record.error or not record.result_matrix:
                 continue
-            for b, mc, a, n in metrics.calibration_curve(conf, corr):
+            for b, mc, a, n in metrics.calibration_curve(record.confidence, record.correct):
                 w.writerow([method, seed, b, mc, a, n])
     print(f"wrote {len(results)} records under {exp_dir}")
     return 0

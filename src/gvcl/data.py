@@ -1,7 +1,7 @@
 """Dataset loading and synthetic task generation.
 
-IDX (MNIST-style) parsing, Split-MNIST style binary task construction,
-the 2-D logistic cluster tasks and the 1-D curvature-probe draws.
+IDX (MNIST-style) parsing, Split-MNIST style binary task construction
+and the 2-D logistic cluster tasks.
 """
 
 from __future__ import annotations
@@ -156,11 +156,3 @@ def gen_toy_clusters(seed, n_per_class=100):
         tasks.append(TaskSpec(tid, tr, val, te, 2))
     return tasks
 
-
-def gen_curvature_toy(which, seed, n_points=1000) -> Dataset:
-    """Seeded standard-normal draws; `which` only selects the downstream f."""
-    if which not in ("f1", "f2", "f3", "linear"):
-        raise ValueError(f"unknown curvature toy {which!r}")
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(n_points)
-    return Dataset(draws[:, None], np.zeros(n_points, dtype=np.int64), [which])

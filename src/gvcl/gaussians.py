@@ -123,27 +123,6 @@ def kl_lambda_tilde(q: DiagGaussian, prior: ClippedPrecisionPrior) -> float:
     )
 
 
-def kl_lambda_gamma(q: DiagGaussian, p: DiagGaussian, lam: float, gamma: float) -> float:
-    """KL with mean term scaled by lam and trace term by gamma.
-
-    The additive constant is fixed so that lam = gamma = 1 reproduces
-    kl_diag exactly: the dropped terms are restored as sum(log p.var - 1)/2,
-    which is independent of q.
-    """
-    _check_dims(q, p)
-    if lam <= 0 or gamma <= 0:
-        raise ValueError(f"lam and gamma must be positive, got {lam}, {gamma}")
-    return 0.5 * float(
-        np.sum(
-            lam * (q.mu - p.mu) ** 2 / p.var
-            + gamma * q.var / p.var
-            - np.log(q.var)
-            + np.log(p.var)
-            - 1.0
-        )
-    )
-
-
 def diag_approx_by_precision(full_precision: np.ndarray) -> np.ndarray:
     """Variances of the diagonal Gaussian that KL-matches a full precision.
 

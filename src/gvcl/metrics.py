@@ -46,9 +46,6 @@ def net_gain(r, r_ind) -> float:
     return fwt(r, r_ind) + bwt(r)
 
 
-net = net_gain
-
-
 def delta_acc(r, i) -> float:
     """Mean accuracy drop on the first i tasks from step i to the end."""
     t = _check_matrix(r)
@@ -57,31 +54,15 @@ def delta_acc(r, i) -> float:
     return float(np.mean([r[i - 1][j] - r[t - 1][j] for j in range(i)]))
 
 
-def ece(confidences, correctness, bins=15):
-    """Expected calibration error over equal-width confidence bins."""
+def calibration_curve(confidences, correctness, bins=15):
+    """Per-bin (index, mean confidence, accuracy, count) rows over
+    equal-width confidence bins; an empty bin has NaN means."""
     confidences = np.asarray(confidences, dtype=np.float64)
     correctness = np.asarray(correctness, dtype=np.float64)
     if confidences.size == 0:
-        raise ValueError("ece: empty input")
+        raise ValueError("calibration: empty input")
     if confidences.shape != correctness.shape:
-        raise ValueError("ece: confidence and correctness lengths differ")
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = np.clip(np.digitize(confidences, edges[1:-1]), 0, bins - 1)
-    total = 0.0
-    n = confidences.size
-    for b in range(bins):
-        mask = idx == b
-        nb = mask.sum()
-        if nb == 0:
-            continue
-        total += nb / n * abs(confidences[mask].mean() - correctness[mask].mean())
-    return float(total)
-
-
-def calibration_curve(confidences, correctness, bins=15):
-    """Per-bin (mean confidence, accuracy, count) rows for plotting."""
-    confidences = np.asarray(confidences, dtype=np.float64)
-    correctness = np.asarray(correctness, dtype=np.float64)
+        raise ValueError("calibration: confidence and correctness lengths differ")
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.clip(np.digitize(confidences, edges[1:-1]), 0, bins - 1)
     rows = []
@@ -93,3 +74,11 @@ def calibration_curve(confidences, correctness, bins=15):
         else:
             rows.append((b, float(confidences[mask].mean()), float(correctness[mask].mean()), nb))
     return rows
+
+
+def ece(confidences, correctness, bins=15):
+    """Expected calibration error: the count-weighted mean |confidence -
+    accuracy| over `calibration_curve`'s bins."""
+    rows = calibration_curve(confidences, correctness, bins)
+    n = sum(nb for *_, nb in rows)
+    return float(sum(nb / n * abs(conf - hit) for _, conf, hit, nb in rows if nb))

@@ -8,7 +8,6 @@ across the batch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,12 +228,6 @@ class VariationalNet:
 
     # -- parameter access --------------------------------------------------
 
-    def shared_variational_params(self):
-        out = []
-        for layer in self.shared:
-            out.extend(layer.variational_params())
-        return out
-
     def task_params(self, task):
         out = []
         for fp in self.film[task]:
@@ -243,8 +236,23 @@ class VariationalNet:
             out.extend(self.heads[task].variational_params())
         return out
 
-    def trainable_params(self, task):
-        return self.shared_variational_params() + self.task_params(task)
+    def trainable_params(self, task, means_only=False):
+        """The tensors trained for `task`, the one rule every method uses.
+
+        The shared layers, the task's FiLM scales and shifts when FiLM is
+        enabled, then the task's head. Point methods pass `means_only` and
+        leave the log-variances out.
+        """
+
+        def layer_params(layer):
+            return [layer.weight_mu, layer.bias_mu] if means_only else layer.variational_params()
+
+        out = [p for layer in self.shared for p in layer_params(layer)]
+        if self.film_enabled:
+            out += [t for fp in self.film[task] for t in (fp.gamma, fp.shift)]
+        if self.arch.head_in:
+            out += layer_params(self.heads[task])
+        return out
 
     def named_params(self):
         out = {}
@@ -343,18 +351,17 @@ def prune_diagnostics(net, prior_var: float, task):
 
 # -- checkpoint format -----------------------------------------------------
 
+CHECKPOINT_VERSION = 2  # version 1 was hex-float JSON
+_META = ("__version__", "__arch__")
+
 
 def save_checkpoint(net, path):
-    """Versioned JSON checkpoint; values as hex floats for bit-exact round-trip."""
-    params = {}
-    for name, t in net.named_params().items():
-        params[name] = {
-            "shape": list(t.shape),
-            "hex": [v.hex() for v in t.data.ravel().tolist()],
-        }
-    doc = {"version": 1, "arch": net.arch.name, "params": params}
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    """Versioned .npz checkpoint: the version, the arch name and one float64
+    array per `named_params` entry (bit-exact), written to exactly `path`."""
+    arrays = {"__version__": np.array(CHECKPOINT_VERSION), "__arch__": np.array(net.arch.name)}
+    arrays.update((name, t.data) for name, t in net.named_params().items())
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def load_checkpoint(net, path):
@@ -364,22 +371,22 @@ def load_checkpoint(net, path):
     net. The whole file is checked before any value is set, so a bad file
     leaves the net unchanged.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    with np.load(path, allow_pickle=False) as doc:
+        version = int(doc["__version__"]) if "__version__" in doc.files else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
+        arch = str(doc["__arch__"])
+        if arch != net.arch.name:
+            raise ValueError(f"checkpoint is for arch {arch!r}, net is {net.arch.name!r}")
+        values = {name: doc[name] for name in doc.files if name not in _META}
     named = net.named_params()
-    missing = sorted(set(named) - set(doc["params"]))
+    missing = sorted(set(named) - set(values))
     if missing:
         raise KeyError(f"checkpoint lacks net parameters: {', '.join(missing)}")
-    values = {}
-    for name, entry in doc["params"].items():
+    for name, vals in values.items():
         if name not in named:
             raise KeyError(f"checkpoint parameter {name} not present in net")
-        t = named[name]
-        vals = np.array([float.fromhex(h) for h in entry["hex"]])
-        if list(t.shape) != entry["shape"]:
-            raise ValueError(f"shape mismatch for {name}")
-        values[name] = vals.reshape(t.shape)
+        if vals.dtype != np.float64 or vals.shape != named[name].shape:
+            raise ValueError(f"dtype or shape mismatch for {name}")
     for name, vals in values.items():
         named[name].data = vals

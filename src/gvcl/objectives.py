@@ -25,13 +25,11 @@ from .gaussians import clipped_precision as _clipped_prec
 class GVCLConfig:
     beta: float = 1.0
     lam: float = 1.0
-    gamma: float = 1.0
     mc_samples: int = 1
     lr: float = 1e-3
     epochs: int = 100
     batch_size: int = 64
     eval_samples: int = 100
-    film: bool = False
 
     def __post_init__(self):
         if self.beta <= 0:

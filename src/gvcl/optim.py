@@ -59,7 +59,8 @@ class Adam:
 
 
 class SGD:
-    """Plain gradient descent with optional multiplicative learning-rate decay."""
+    """Plain gradient descent. `decay` multiplies the rate once per epoch;
+    the training loop (`runner.fit`) applies it, not `step`."""
 
     def __init__(self, params, lr=5e-2, decay=1.0):
         self.params = list(params)
@@ -71,7 +72,6 @@ class SGD:
             if p.grad is None:
                 continue
             p.data = p.data - self.lr * p.grad
-        self.lr *= self.decay
 
     def zero_grad(self):
         for p in self.params:

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import objectives as obj
 from .autodiff import NonFiniteError
 from .nets import Architecture, init_net, predict, save_checkpoint
-from .objectives import EWCState, GVCLConfig, NetPrior
+from .objectives import GVCLConfig
 from .optim import SGD, Adam
 
 VI_METHODS = {"gvcl", "gvcl_film", "vcl", "vcl_film"}
@@ -50,9 +50,13 @@ class RunRecord:
     wall_times: list
     checkpoints: list
     error: str = ""
+    # per-example inputs of the final result row, for calibration; not in JSON
+    confidence: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False, compare=False)
+    correct: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False, compare=False)
 
     def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2)
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.compare}
+        return json.dumps(doc, indent=2)
 
     @staticmethod
     def from_json(text):
@@ -60,28 +64,43 @@ class RunRecord:
 
 
 def _shuffled_batches(n, batch_size, rng):
+    if batch_size >= n:  # one batch covers the set: in order, no draw from rng
+        yield slice(0, n)
+        return
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
 
 
-def train_task_vi(net, task, train, prior: NetPrior, cfg: GVCLConfig, rng):
-    params = net.shared_variational_params()
-    if net.film_enabled:
-        for fp in net.film[task]:
-            params += [fp.gamma, fp.shift]
-    if net.arch.head_in:
-        params += net.heads[task].variational_params()
-    optimizer = Adam(params, lr=cfg.lr)
+def fit(params, optimizer, loss, train, epochs, batch_size, rng, val=None, patience=None):
+    """The training loop of every method: `epochs` passes over `train`.
+
+    Each batch is one optimizer step on `loss(x, y)`. An optimizer with a
+    `decay` multiplies its rate by it once per epoch. With `val`, a
+    zero-argument score (higher is better) taken after every epoch, the
+    best-scoring epoch's `params` are restored at the end, and training
+    stops after `patience` epochs without improvement.
+    """
     n = len(train)
-    for _ in range(cfg.epochs):
-        for idx in _shuffled_batches(n, cfg.batch_size, rng):
+    best, snapshot, stale = -np.inf, None, 0
+    for _ in range(epochs):
+        for idx in _shuffled_batches(n, batch_size, rng):
             optimizer.zero_grad()
-            loss = obj.beta_elbo_loss(
-                net, task, train.inputs[idx], train.labels[idx], prior, cfg, n, rng
-            )
-            ad.backward(loss)
+            ad.backward(loss(train.inputs[idx], train.labels[idx]))
             optimizer.step()
+        optimizer.lr *= getattr(optimizer, "decay", 1.0)
+        if val is None:
+            continue
+        score = val()
+        if score > best:
+            best, snapshot, stale = score, [p.data.copy() for p in params], 0
+        else:
+            stale += 1
+            if patience is not None and stale >= patience:
+                break
+    if snapshot is not None:
+        for p, d in zip(params, snapshot):
+            p.data = d
 
 
 def _accuracy_point(net, task, ds):
@@ -89,51 +108,13 @@ def _accuracy_point(net, task, ds):
     return float((probs.argmax(axis=1) == ds.labels).mean())
 
 
-def train_task_point(net, task, train, val, state: EWCState, cfg: RunnerConfig, gcfg, rng):
-    params = [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
-    for fp in net.film[task]:
-        if net.film_enabled:
-            params += [fp.gamma, fp.shift]
-    if net.arch.head_in:
-        head = net.heads[task]
-        params += [head.weight_mu, head.bias_mu]
-    optimizer = SGD(params, lr=cfg.map_lr, decay=cfg.map_lr_decay)
-    n = len(train)
-    best_acc = -1.0
-    best_snapshot = None
-    stale = 0
-    for _ in range(cfg.map_epochs):
-        for idx in _shuffled_batches(n, gcfg.batch_size, rng):
-            optimizer.zero_grad()
-            loss = obj.ewc_loss(net, task, train.inputs[idx], train.labels[idx], state, n)
-            ad.backward(loss)
-            optimizer.step()
-        acc = _accuracy_point(net, task, val)
-        if acc > best_acc:
-            best_acc = acc
-            best_snapshot = [p.data.copy() for p in params]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    if best_snapshot is not None:
-        for p, d in zip(params, best_snapshot):
-            p.data = d
-
-
-def temper_transition(net, factor):
-    """Scale every shared-posterior variance by a constant factor."""
-    if factor <= 0:
-        raise ValueError(f"tempering factor must be positive, got {factor}")
-    for layer in net.shared:
-        layer.weight_logvar.data = np.log(np.exp(layer.weight_logvar.data) * factor)
-        layer.bias_logvar.data = np.log(np.exp(layer.bias_logvar.data) * factor)
-
-
 def evaluate_matrix_row(net, tasks_seen, num_samples, rng):
-    """Sampled test accuracy on every task trained so far."""
-    row = []
+    """Test accuracy on every task trained so far, with the per-example
+    confidence and correctness (concatenated over tasks) it came from.
+
+    `num_samples` MC draws per task, or the posterior means when it is 0.
+    """
+    row, confidence, correct = [], [], []
     for spec in tasks_seen:
         if num_samples == 0:
             probs = predict(net, spec.task_id, spec.test.inputs, mode="mean")
@@ -141,8 +122,11 @@ def evaluate_matrix_row(net, tasks_seen, num_samples, rng):
             probs = predict(
                 net, spec.task_id, spec.test.inputs, num_samples=num_samples, rng=rng
             )
-        row.append(float((probs.argmax(axis=1) == spec.test.labels).mean()))
-    return row
+        hit = (probs.argmax(axis=1) == spec.test.labels).astype(np.float64)
+        row.append(float(hit.mean()))
+        confidence.append(probs.max(axis=1))
+        correct.append(hit)
+    return row, np.concatenate(confidence), np.concatenate(correct)
 
 
 def _default_arch(tasks):
@@ -171,7 +155,8 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
     eval_rng = np.random.default_rng(eval_seed)
 
     prior = obj.initial_prior(net, cfg.prior0_var)
-    state = None  # EWC state, created after the net exists
+    # map_sgd is EWC without the penalty
+    state = obj.fresh_ewc_state(net, 0.0 if method == "map_sgd" else cfg.ewc_lam, cfg.ewc_gamma)
 
     record = RunRecord(
         method=method,
@@ -185,16 +170,28 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
     is_vi = method in VI_METHODS
     for t, spec in enumerate(tasks):
         t0 = time.perf_counter()
-        net.add_task(spec.task_id, spec.classes, train_rng)
+        task, n = spec.task_id, len(spec.train)
+        net.add_task(task, spec.classes, train_rng)
         try:
+            # the losses are looked up on `obj` at call time, so wrappers see them
             if is_vi:
-                train_task_vi(net, spec.task_id, spec.train, prior, gcfg, train_rng)
+                params = net.trainable_params(task)
+                fit(
+                    params,
+                    Adam(params, lr=gcfg.lr),
+                    lambda x, y: obj.beta_elbo_loss(net, task, x, y, prior, gcfg, n, train_rng),
+                    spec.train, gcfg.epochs, gcfg.batch_size, train_rng,
+                )
             else:
-                if state is None:
-                    state = obj.fresh_ewc_state(net, cfg.ewc_lam, cfg.ewc_gamma)
-                    if method == "map_sgd":
-                        state = dataclasses.replace(state, lam=0.0)
-                train_task_point(net, spec.task_id, spec.train, spec.val, state, cfg, gcfg, train_rng)
+                params = net.trainable_params(task, means_only=True)
+                fit(
+                    params,
+                    SGD(params, lr=cfg.map_lr, decay=cfg.map_lr_decay),
+                    lambda x, y: obj.ewc_loss(net, task, x, y, state, n),
+                    spec.train, cfg.map_epochs, gcfg.batch_size, train_rng,
+                    val=lambda: _accuracy_point(net, task, spec.val),
+                    patience=cfg.patience,
+                )
         except NonFiniteError as e:
             record.error = f"divergence during task {spec.task_id}: {e}"
             break
@@ -212,12 +209,13 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
             )
             state = obj.ewc_update_state(state, fisher, obj.flat_shared_mu(net))
         n_eval = gcfg.eval_samples if is_vi else 0
-        record.result_matrix.append(
-            evaluate_matrix_row(net, tasks[: t + 1], n_eval, eval_rng)
+        row, record.confidence, record.correct = evaluate_matrix_row(
+            net, tasks[: t + 1], n_eval, eval_rng
         )
+        record.result_matrix.append(row)
         record.wall_times.append(time.perf_counter() - t0)
         if out_dir is not None:
-            path = f"{out_dir}/ckpt_{t}.json"
+            path = f"{out_dir}/ckpt_{t}.npz"
             save_checkpoint(net, path)
             record.checkpoints.append(path)
     return record, net

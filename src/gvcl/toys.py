@@ -11,13 +11,13 @@ import dataclasses
 
 import numpy as np
 
-from . import autodiff as ad
 from . import objectives as obj
 from .data import Dataset, TaskSpec, gen_toy_clusters
 from .gaussians import DiagGaussian, film_optimal_scale, scaled_kl
 from .nets import Architecture, init_net, prune_diagnostics
 from .objectives import GVCLConfig
 from .optim import Adam
+from .runner import RunnerConfig, fit, run_continual
 
 CURVATURE_BETAS = (0.1, 1.0, 10.0)
 CURVATURE_FUNCS = ("linear", "f1", "f2", "f3")
@@ -38,28 +38,6 @@ def curvature_sweep(seeds=(0, 1, 2)):
 CONVERGENCE_BETAS = (1.0, 0.3, 0.1, 0.03)
 
 
-def _train_vi_toy(net, task, train, prior, beta, rng, epochs, lr=1e-3):
-    cfg = GVCLConfig(beta=beta, lam=1.0, epochs=epochs, lr=lr, batch_size=len(train))
-    params = net.shared_variational_params()
-    optimizer = Adam(params, lr=lr)
-    n = len(train)
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        loss = obj.beta_elbo_loss(net, task, train.inputs, train.labels, prior, cfg, n, rng)
-        ad.backward(loss)
-        optimizer.step()
-
-
-def _train_point_toy(net, task, train, state, epochs=4000, lr=5e-2):
-    params = [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
-    optimizer = Adam(params, lr=lr)
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        loss = obj.ewc_loss(net, task, train.inputs, train.labels, state, len(train))
-        ad.backward(loss)
-        optimizer.step()
-
-
 def _epochs_for_beta(beta):
     # smaller beta needs far longer to converge
     return int(min(40000, 3000 / beta**0.75))
@@ -74,8 +52,15 @@ def ewc_reference_solution(tasks, seed):
     state = obj.fresh_ewc_state(net, lam=1.0, gamma=1.0)
     state = dataclasses.replace(state, fisher_acc=np.ones_like(state.fisher_acc))
     for spec in tasks:
-        _train_point_toy(net, spec.task_id, spec.train, state)
-        fisher = obj.fisher_diag(net, spec.task_id, spec.train.inputs, spec.train.labels)
+        task, n = spec.task_id, len(spec.train)
+        params = net.trainable_params(task, means_only=True)
+        fit(
+            params,
+            Adam(params, lr=5e-2),
+            lambda x, y: obj.ewc_loss(net, task, x, y, state, n),
+            spec.train, 4000, n, rng=None,
+        )
+        fisher = obj.fisher_diag(net, task, spec.train.inputs, spec.train.labels)
         state = obj.ewc_update_state(state, fisher, obj.flat_shared_mu(net))
     return obj.flat_shared_mu(net)
 
@@ -89,7 +74,15 @@ def gvcl_toy_solution(tasks, seed, beta):
     prior = obj.initial_prior(net, 1.0)
     epochs = _epochs_for_beta(beta)
     for spec in tasks:
-        _train_vi_toy(net, spec.task_id, spec.train, prior, beta, rng, epochs)
+        task, n = spec.task_id, len(spec.train)
+        cfg = GVCLConfig(beta=beta, lam=1.0, epochs=epochs, lr=1e-3, batch_size=n)
+        params = net.trainable_params(task)
+        fit(
+            params,
+            Adam(params, lr=cfg.lr),
+            lambda x, y: obj.beta_elbo_loss(net, task, x, y, prior, cfg, n, rng),
+            spec.train, epochs, n, rng,
+        )
         prior = obj.posterior_to_prior(net, 1.0, lam=1.0)
     return obj.flat_shared_mu(net)
 
@@ -161,8 +154,6 @@ def active_unit_counts(seed, threshold=0.1, beta=1.0, lam=1.0, epochs=1200, lr=1
     variances to actually reach the prior; otherwise nothing prunes and
     the comparison is vacuous.
     """
-    from .runner import RunnerConfig, run_continual
-
     tasks = gen_synthetic_pair(1000 + seed)
     arch = Architecture.mlp(input_dim=tasks[0].train.inputs.shape[1], hidden=(8,))
     counts = {}

@@ -24,7 +24,7 @@ def rich_config():
         data_seed=42,
         runner=RunnerConfig(
             gvcl=GVCLConfig(beta=0.2, lam=5.0, mc_samples=2, lr=5e-4, epochs=17,
-                            batch_size=32, eval_samples=25, film=True),
+                            batch_size=32, eval_samples=25),
             prior0_var=2.0,
             map_lr=0.01,
             map_epochs=33,
@@ -171,10 +171,8 @@ def test_point_method_ece_scores_mean_predictions(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_continual", keep_net)
     for method in ("ewc", "map_sgd"):
-        _, _, record, conf, corr = cli._run_cell(
-            (method, 0, cfg.runner, tasks, str(tmp_path / method))
-        )
+        _, _, record = cli._run_cell((method, 0, cfg.runner, tasks, str(tmp_path / method)))
         probs = [predict(nets[-1], t.task_id, t.test.inputs, mode="mean") for t in tasks]
-        assert np.array_equal(conf, np.concatenate([p.max(axis=1) for p in probs]))
+        assert np.array_equal(record.confidence, np.concatenate([p.max(axis=1) for p in probs]))
         want = [(p.argmax(axis=1) == t.test.labels).astype(float) for p, t in zip(probs, tasks)]
-        assert np.array_equal(corr, np.concatenate(want))
+        assert np.array_equal(record.correct, np.concatenate(want))

@@ -6,7 +6,6 @@ import pytest
 from gvcl.data import (
     Dataset,
     IdxFormatError,
-    gen_curvature_toy,
     gen_toy_clusters,
     load_idx,
     make_split_tasks,
@@ -126,13 +125,3 @@ def test_toy_clusters_validation():
     with pytest.raises(ValueError):
         gen_toy_clusters(0, n_per_class=5)
 
-
-def test_curvature_toy_seeding_and_validation():
-    a = gen_curvature_toy("f1", 7, n_points=50)
-    b = gen_curvature_toy("f1", 7, n_points=50)
-    assert np.array_equal(a.inputs, b.inputs)
-    assert a.inputs.shape == (50, 1)
-    c = gen_curvature_toy("f1", 8, n_points=50)
-    assert not np.array_equal(a.inputs, c.inputs)
-    with pytest.raises(ValueError):
-        gen_curvature_toy("f9", 0)

@@ -13,7 +13,6 @@ from gvcl.gaussians import (
     film_optimal_scale,
     kl_diag,
     kl_lambda,
-    kl_lambda_gamma,
     kl_lambda_tilde,
     low_rank_kl_cost,
     low_rank_select,
@@ -150,35 +149,6 @@ def test_kl_lambda_tilde_lambda_one_is_plain_kl():
         (np.maximum(0.0, 1.0 / base.var - 1.0) + 1.0 - 1.0 / base.var) * (q.mu - base.mu) ** 2
     )
     assert kl_lambda_tilde(q, prior) == pytest.approx(manual, abs=1e-12)
-
-
-# -- gamma-weighted KL ---------------------------------------------------------
-
-
-def test_kl_lambda_gamma_reduces_exactly():
-    rng = np.random.default_rng(9)
-    q, p = random_gaussian(rng, 6), random_gaussian(rng, 6)
-    assert kl_lambda_gamma(q, p, 1.0, 1.0) == pytest.approx(kl_diag(q, p), abs=1e-12)
-
-
-def test_kl_lambda_gamma_variance_gradient_matches_kl_diag():
-    rng = np.random.default_rng(10)
-    q, p = random_gaussian(rng, 3), random_gaussian(rng, 3)
-    eps = 1e-6
-    for i in range(3):
-        vp, vm = q.var.copy(), q.var.copy()
-        vp[i] += eps
-        vm[i] -= eps
-        g1 = (kl_lambda_gamma(DiagGaussian(q.mu, vp), p, 3.0, 1.0)
-              - kl_lambda_gamma(DiagGaussian(q.mu, vm), p, 3.0, 1.0)) / (2 * eps)
-        g2 = (kl_diag(DiagGaussian(q.mu, vp), p) - kl_diag(DiagGaussian(q.mu, vm), p)) / (2 * eps)
-        assert g1 == pytest.approx(g2, rel=1e-6)
-
-
-def test_kl_lambda_gamma_rejects_nonpositive():
-    q = DiagGaussian(np.zeros(1), np.ones(1))
-    with pytest.raises(ValueError):
-        kl_lambda_gamma(q, q, 0.0, 1.0)
 
 
 # -- diagonal / low-rank approximations ----------------------------------------

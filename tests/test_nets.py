@@ -200,13 +200,22 @@ def test_prune_scores_grow_with_deviation():
     assert np.allclose(moved[1:], base[1:])
 
 
+def _edited_checkpoint(path, out, edit):
+    """Copy the .npz at `path` to `out` after `edit` mutates its array dict."""
+    with np.load(path) as doc:
+        arrays = {k: doc[k] for k in doc.files}
+    edit(arrays)
+    np.savez(out, **arrays)
+    return out
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path):
     net = small_net(seed=17)
     rng = np.random.default_rng(18)
     for t in net.named_params().values():
         t.data = rng.normal(size=t.shape)
     before = {k: t.data.copy() for k, t in net.named_params().items()}
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(net, path)
     other = small_net(seed=99)
     load_checkpoint(other, path)
@@ -215,24 +224,21 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_errors(tmp_path):
-    import json
-
     net = small_net(seed=19)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(net, path)
 
-    doc = json.loads(path.read_text())
-    doc["version"] = 2
-    bad = tmp_path / "bad_version.json"
-    bad.write_text(json.dumps(doc))
+    bad = _edited_checkpoint(
+        path, tmp_path / "bad_version.npz", lambda a: a.update(__version__=np.array(1))
+    )
     with pytest.raises(ValueError):
         load_checkpoint(small_net(), bad)
 
-    doc = json.loads(path.read_text())
-    first = next(iter(doc["params"]))
-    doc["params"][first]["shape"] = [1, 1]
-    bad2 = tmp_path / "bad_shape.json"
-    bad2.write_text(json.dumps(doc))
+    def bad_shape(arrays):
+        first = next(k for k in arrays if not k.startswith("__"))
+        arrays[first] = np.zeros((1, 1))
+
+    bad2 = _edited_checkpoint(path, tmp_path / "bad_shape.npz", bad_shape)
     with pytest.raises(ValueError):
         load_checkpoint(small_net(), bad2)
 
@@ -245,23 +251,21 @@ def test_checkpoint_errors(tmp_path):
 
 
 def test_checkpoint_bad_file_loads_nothing(tmp_path):
-    import json
-
     net = small_net(seed=20)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(net, path)
-    doc = json.loads(path.read_text())
-    del doc["params"]["shared.1.bias_logvar"]
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps(doc))
+    partial = _edited_checkpoint(
+        path, tmp_path / "partial.npz", lambda a: a.pop("shared.1.bias_logvar")
+    )
     other = small_net(seed=21)
     before = {k: t.data.copy() for k, t in other.named_params().items()}
     with pytest.raises(KeyError, match="shared.1.bias_logvar"):
         load_checkpoint(other, partial)
-    doc = json.loads(path.read_text())
-    doc["params"][list(doc["params"])[-1]]["shape"] = [1, 1]  # the last entry is bad
-    bad_last = tmp_path / "bad_last.json"
-    bad_last.write_text(json.dumps(doc))
+
+    def bad_last_shape(arrays):  # the last entry is bad
+        arrays[list(arrays)[-1]] = np.zeros((1, 1))
+
+    bad_last = _edited_checkpoint(path, tmp_path / "bad_last.npz", bad_last_shape)
     with pytest.raises(ValueError):
         load_checkpoint(other, bad_last)
     for k, t in other.named_params().items():  # nothing was loaded

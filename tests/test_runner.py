@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from gvcl.data import gen_toy_clusters
-from gvcl.nets import Architecture, init_net
+from gvcl import autodiff as ad
+from gvcl.autodiff import Tensor
+from gvcl.data import Dataset, gen_toy_clusters
+from gvcl.nets import init_net, load_checkpoint
 from gvcl.objectives import GVCLConfig
+from gvcl.optim import SGD
 from gvcl.runner import (
     RunnerConfig,
     RunRecord,
+    fit,
     run_continual,
     run_independent,
-    temper_transition,
 )
 
 
@@ -75,18 +80,6 @@ def test_unknown_method(toy_tasks):
         run_continual("bogus", toy_tasks, quick_cfg(), seed=0)
 
 
-def test_temper_transition_round_trip():
-    net = init_net(Architecture.mlp(input_dim=2, hidden=(4,)), 0)
-    before = [l.weight_logvar.data.copy() for l in net.shared]
-    temper_transition(net, 2.0)
-    assert np.allclose(net.shared[0].weight_logvar.data, before[0] + np.log(2.0))
-    temper_transition(net, 0.5)
-    for l, b in zip(net.shared, before):
-        assert np.allclose(l.weight_logvar.data, b, atol=1e-12)
-    with pytest.raises(ValueError):
-        temper_transition(net, 0.0)
-
-
 def test_run_independent(toy_tasks):
     accs = run_independent(toy_tasks, quick_cfg(), seed=0)
     assert len(accs) == 2
@@ -94,7 +87,74 @@ def test_run_independent(toy_tasks):
 
 
 def test_checkpoints_written(tmp_path, toy_tasks):
-    rec, _ = run_continual("gvcl", toy_tasks, quick_cfg(), seed=4, out_dir=str(tmp_path))
-    assert len(rec.checkpoints) == 2
+    rec, net = run_continual("gvcl", toy_tasks, quick_cfg(), seed=4, out_dir=str(tmp_path))
+    assert [p.split("/")[-1] for p in rec.checkpoints] == ["ckpt_0.npz", "ckpt_1.npz"]
     for p in rec.checkpoints:
         assert (tmp_path / p.split("/")[-1]).exists()
+    other = init_net(net.arch, 99)
+    for spec in toy_tasks:
+        other.add_task(spec.task_id, spec.classes, np.random.default_rng(0))
+    load_checkpoint(other, rec.checkpoints[-1])
+    for k, t in net.named_params().items():
+        assert np.array_equal(other.named_params()[k].data, t.data), k
+
+
+@pytest.mark.parametrize("method", ["gvcl", "ewc"])
+def test_calibration_inputs_are_the_final_result_row(toy_tasks, method):
+    rec, _ = run_continual(method, toy_tasks, quick_cfg(), seed=6)
+    sizes = [len(t.test) for t in toy_tasks]
+    assert rec.confidence.shape == rec.correct.shape == (sum(sizes),)
+    parts = np.split(rec.correct, np.cumsum(sizes)[:-1])
+    assert [float(p.mean()) for p in parts] == rec.result_matrix[-1]
+
+
+# -- the training loop ---------------------------------------------------------
+
+
+def _quadratic_problem(n=10, seed=0):
+    rng = np.random.default_rng(seed)
+    train = Dataset(rng.normal(size=(n, 3)), np.zeros(n, dtype=np.int64))
+    w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    calls = []
+
+    def loss(x, y):
+        calls.append(len(y))
+        return ad.tmean(ad.square(ad.matmul(Tensor(x), w)))
+
+    return train, w, loss, calls
+
+
+@pytest.mark.parametrize("batch_size", [3, 4, 10, 25])
+def test_fit_steps_once_per_batch(batch_size):
+    train, w, loss, calls = _quadratic_problem(n=10)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    fit([w], SGD([w], lr=0.1), loss, train, 3, batch_size, rng)
+    assert len(calls) == 3 * math.ceil(10 / batch_size)
+    assert sum(calls) == 3 * 10
+    # one batch covering the set is taken in order and draws nothing
+    assert (rng.bit_generator.state == state) == (batch_size >= 10)
+
+
+def test_fit_restores_best_epoch_bitwise():
+    train, w, loss, _ = _quadratic_problem()
+    scores = iter([0.1, 0.5, 0.3, 0.9])
+    seen = []
+
+    def val():
+        seen.append(w.data.copy())
+        return next(scores)
+
+    fit([w], SGD([w], lr=0.1), loss, train, 10, 4, np.random.default_rng(2), val=val, patience=1)
+    assert len(seen) == 3  # epoch 3 did not improve on epoch 2: stop
+    assert np.array_equal(w.data, seen[1])
+    assert not np.array_equal(w.data, seen[2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_sgd_rate_decays_once_per_epoch(k):
+    train, w, loss, calls = _quadratic_problem(n=10)
+    opt = SGD([w], lr=0.05, decay=0.9)
+    fit([w], opt, loss, train, k, 4, np.random.default_rng(k))
+    assert len(calls) == 3 * k  # three steps per epoch, one decay
+    assert opt.lr == pytest.approx(0.05 * 0.9**k, rel=1e-12)
