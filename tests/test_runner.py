@@ -129,9 +129,12 @@ def test_fit_steps_once_per_batch(batch_size):
     train, w, loss, calls = _quadratic_problem(n=10)
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
-    fit([w], SGD([w], lr=0.1), loss, train, 3, batch_size, rng)
-    assert len(calls) == 3 * math.ceil(10 / batch_size)
-    assert sum(calls) == 3 * 10
+    opt, steps = SGD([w], lr=0.1), []
+    step = opt.step
+    opt.step = lambda: steps.append(step())
+    fit([w], opt, loss, train, 3, batch_size, rng)
+    assert len(steps) == len(calls) == 3 * math.ceil(10 / batch_size)
+    assert sum(calls) == 3 * 10  # every example once per epoch
     # one batch covering the set is taken in order and draws nothing
     assert (rng.bit_generator.state == state) == (batch_size >= 10)
 
