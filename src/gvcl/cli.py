@@ -215,7 +215,7 @@ def _verify_checks():
             ip, lp = os.path.join(d, "im"), os.path.join(d, "lb")
             write_idx(imgs, lbls, ip, lp)
             ds = load_idx(ip, lp)
-            return np.array_equal(ds.labels, lbls) and np.allclose(
+            return np.array_equal(ds.labels, lbls) and np.array_equal(
                 ds.inputs, imgs.reshape(7, 16) / 255.0
             )
 

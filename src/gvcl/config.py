@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import numbers
 from dataclasses import dataclass, field
 
 from .objectives import GVCLConfig
@@ -36,6 +37,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {sorted(METHODS)}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for s in (*self.seeds, self.data_seed):
+            if not isinstance(s, numbers.Integral) or isinstance(s, bool):
+                raise ValueError(f"seeds must be integers, got {s!r}")
 
 
 def _set_section(parser, section, obj, skip=()):
@@ -61,25 +65,34 @@ def _read_section(parser, section, cls, **extra):
     return cls(**kwargs)
 
 
+def _unquote(text):
+    return text.strip().strip("'\"")
+
+
+def _tuple(text):
+    """A tuple literal of ints and (optionally quoted) strings."""
+    out = []
+    for s in text.strip().strip("()").split(","):
+        if not s.strip():
+            continue
+        s = _unquote(s)
+        try:
+            out.append(int(s))
+        except ValueError:
+            out.append(s)
+    return tuple(out)
+
+
+_COERCE = {"int": int, "float": float, "str": _unquote, "tuple": _tuple}
+
+
 def _coerce(text, type_hint):
-    hint = str(type_hint)
-    if "bool" in hint:
-        return text.strip() in ("True", "true", "1", "yes")
-    if "int" in hint:
-        return int(text)
-    if "float" in hint:
-        return float(text)
-    if "tuple" in hint:
-        items = [s.strip() for s in text.strip("()").split(",") if s.strip()]
-        out = []
-        for s in items:
-            s = s.strip("'\"")
-            try:
-                out.append(int(s))
-            except ValueError:
-                out.append(s)
-        return tuple(out)
-    return text.strip("'\"")
+    """Parse an INI value by the field's declared type, which must be one of
+    int, float, str or tuple."""
+    name = type_hint if isinstance(type_hint, str) else getattr(type_hint, "__name__", "")
+    if name not in _COERCE:
+        raise TypeError(f"unsupported config field type {type_hint!r}")
+    return _COERCE[name](text)
 
 
 def to_ini(cfg: ExperimentConfig) -> str:

@@ -20,23 +20,40 @@ class IdxFormatError(ValueError):
     """Malformed IDX file: bad magic, truncation or count mismatch."""
 
 
+def _as_float(x):
+    return x / 255.0 if x.dtype == np.uint8 else x
+
+
 @dataclass
 class Dataset:
-    inputs: np.ndarray  # (N, features) or (N, C, H, W), values in [0, 1]
+    """Inputs and integer labels.
+
+    `stored` is either the float inputs themselves or uint8 pixels, which
+    are scaled to [0, 1] float64 (`/ 255.0`) only for the rows read, so an
+    image set is held at one byte per pixel.
+    """
+
+    stored: np.ndarray  # (N, features) or (N, C, H, W): float, or uint8 pixels
     labels: np.ndarray  # integer vector
     class_names: list = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.inputs) != len(self.labels):
+        if len(self.stored) != len(self.labels):
             raise ValueError("inputs and labels must have equal length")
-        if len(self.inputs) == 0:
+        if len(self.stored) == 0:
             raise ValueError("dataset must be nonempty")
 
     def __len__(self):
-        return len(self.inputs)
+        return len(self.stored)
 
-    def subset(self, idx):
-        return Dataset(self.inputs[idx], self.labels[idx], self.class_names)
+    def rows(self, idx):
+        """Float inputs of the rows `idx` (any numpy index)."""
+        return _as_float(self.stored[idx])
+
+    @property
+    def inputs(self):
+        """Float inputs of the whole set (a fresh array for uint8 pixels)."""
+        return _as_float(self.stored)
 
 
 @dataclass
@@ -64,7 +81,7 @@ def _read_idx_header(blob, path):
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a flattened [0,1] dataset."""
+    """Parse an IDX image/label file pair into a flattened uint8 dataset."""
     img_blob = _read_maybe_gz(images_path)
     lbl_blob = _read_maybe_gz(labels_path)
 
@@ -89,7 +106,7 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     images = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images.astype(np.float64) / 255.0, labels)
+    return Dataset(images, labels)
 
 
 def write_idx(images, labels, images_path, labels_path):
@@ -106,7 +123,11 @@ def write_idx(images, labels, images_path, labels_path):
 
 
 def make_split_tasks(train: Dataset, test: Dataset, pairs, val_fraction=0.1, prefix="task"):
-    """Binary tasks from class pairs; labels map class_a -> 0, class_b -> 1."""
+    """Binary tasks from class pairs; labels map class_a -> 0, class_b -> 1.
+
+    Each pair's examples are copied once per source set; the pair's train
+    and val sets are slices (views) of that one training copy.
+    """
     tasks = []
     for i, (a, b) in enumerate(pairs):
         for c in (a, b):
@@ -115,14 +136,14 @@ def make_split_tasks(train: Dataset, test: Dataset, pairs, val_fraction=0.1, pre
         task = []
         for split in (train, test):
             mask = (split.labels == a) | (split.labels == b)
-            x = split.inputs[mask]
             y = (split.labels[mask] == b).astype(np.int64)
-            task.append(Dataset(x, y, [str(a), str(b)]))
-        tr, te = task
-        n_val = max(1, int(len(tr) * val_fraction))
-        val = tr.subset(np.arange(len(tr) - n_val, len(tr)))
-        tr = tr.subset(np.arange(len(tr) - n_val))
-        tasks.append(TaskSpec(f"{prefix}{i}_{a}v{b}", tr, val, te, 2))
+            task.append((split.stored[mask], y))
+        (x, y), (x_te, y_te) = task
+        names = [str(a), str(b)]
+        n_tr = len(y) - max(1, int(len(y) * val_fraction))
+        tr = Dataset(x[:n_tr], y[:n_tr], names)
+        val = Dataset(x[n_tr:], y[n_tr:], names)
+        tasks.append(TaskSpec(f"{prefix}{i}_{a}v{b}", tr, val, Dataset(x_te, y_te, names), 2))
     return tasks
 
 

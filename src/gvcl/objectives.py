@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -305,6 +304,8 @@ def curvature_probe(beta, toy, seed, n_points=1000):
     expected log-likelihood), then removes the tempering scale from the
     fitted precision: the returned value is 1 / (beta * (1/s2 - 1)).
     """
+    from scipy.optimize import minimize  # here, so that importing gvcl does not load scipy
+
     f, df = _toy_f(toy)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(n_points)

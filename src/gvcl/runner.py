@@ -86,7 +86,7 @@ def fit(params, optimizer, loss, train, epochs, batch_size, rng, val=None, patie
     for _ in range(epochs):
         for idx in _shuffled_batches(n, batch_size, rng):
             optimizer.zero_grad()
-            ad.backward(loss(train.inputs[idx], train.labels[idx]))
+            ad.backward(loss(train.rows(idx), train.labels[idx]))
             optimizer.step()
         optimizer.lr *= getattr(optimizer, "decay", 1.0)
         if val is None:
@@ -130,7 +130,7 @@ def evaluate_matrix_row(net, tasks_seen, num_samples, rng):
 
 
 def _default_arch(tasks):
-    x = tasks[0].train.inputs
+    x = tasks[0].train.stored
     if x.ndim == 4:
         return Architecture.conv_small(in_shape=x.shape[1:])
     return Architecture.mlp(input_dim=x.shape[1])

@@ -1,11 +1,14 @@
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
 from gvcl.cli import main
 from gvcl.config import (
     ExperimentConfig,
+    _coerce,
     from_ini,
     load_config,
     save_config,
@@ -77,6 +80,39 @@ def test_unknown_sections_and_keys_rejected():
         from_ini(good + "[gvlc]\nbeta = 0.5\n")
     with pytest.raises(ValueError, match="runner"):  # the nested section, not a key
         from_ini("[experiment]\nrunner = 1\n")
+
+
+def test_coerce_dispatches_on_the_declared_type():
+    assert _coerce("7", "int") == 7 and type(_coerce("7", "float")) is float
+    assert _coerce("'a b'", "str") == "a b"
+    assert _coerce("('gvcl', 'ewc')", "tuple") == ("gvcl", "ewc")
+    assert _coerce("(0, 3)", tuple) == (0, 3)
+    with pytest.raises(ValueError):
+        _coerce("1.5", "int")
+    for hint in ("bool", "list", "Optional[int]", "RunnerConfig"):
+        with pytest.raises(TypeError, match="unsupported"):
+            _coerce("1", hint)
+
+
+def test_non_integer_seed_rejected_where_it_enters():
+    with pytest.raises(ValueError, match="seeds must be integers"):
+        from_ini("[experiment]\nseeds = (0, x)\n")
+    for bad in ((0, "1"), (1.0,), (True,)):
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            ExperimentConfig(seeds=bad)
+    with pytest.raises(ValueError, match="seeds must be integers"):
+        ExperimentConfig(data_seed=0.5)
+    with pytest.raises(ValueError):
+        from_ini("[experiment]\ndata_seed = x\n")
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, gvcl.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_shipped_config_loads():

@@ -1,4 +1,5 @@
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def test_idx_round_trip(tmp_path):
     images, labels, ip, lp = fixture_pair(tmp_path)
     ds = load_idx(ip, lp)
     assert np.array_equal(ds.labels, labels)
-    assert np.allclose(ds.inputs, images.reshape(12, -1) / 255.0)
+    assert np.array_equal(ds.inputs, images.reshape(12, -1) / 255.0)
 
 
 def test_idx_gzip_round_trip(tmp_path):
@@ -36,7 +37,28 @@ def test_idx_gzip_round_trip(tmp_path):
     gz_l.write_bytes(gzip.compress(lp.read_bytes()))
     ds = load_idx(gz_i, gz_l)
     assert np.array_equal(ds.labels, labels)
-    assert np.allclose(ds.inputs, images.reshape(12, -1) / 255.0)
+    assert np.array_equal(ds.inputs, images.reshape(12, -1) / 255.0)
+
+
+def test_load_idx_keeps_uint8(tmp_path):
+    images, _, ip, lp = fixture_pair(tmp_path)
+    ds = load_idx(ip, lp)
+    assert ds.stored.dtype == np.uint8
+    assert np.array_equal(ds.stored, images.reshape(12, -1))
+    assert ds.inputs.dtype == np.float64
+
+
+def test_rows_scale_bit_equal_to_whole_array_scale():
+    pixels = np.arange(256, dtype=np.uint8).reshape(32, 8)
+    ds = Dataset(pixels, np.zeros(32, dtype=np.int64))
+    whole = pixels.astype(np.float64) / 255.0
+    idx = np.random.default_rng(3).permutation(32)
+    assert ds.rows(idx).tobytes() == whole[idx].tobytes()
+    assert ds.rows(slice(5, 17)).tobytes() == whole[5:17].tobytes()
+    assert ds.inputs.tobytes() == whole.tobytes()
+    floats = Dataset(whole, np.zeros(32, dtype=np.int64))
+    assert floats.inputs is whole  # float data is used as stored
+    assert np.shares_memory(floats.rows(slice(0, 4)), whole)
 
 
 def test_idx_bad_magic(tmp_path):
@@ -99,6 +121,41 @@ def test_make_split_tasks_mapping_and_splits():
     orig = y[mask]
     remapped = np.concatenate([t0.train.labels, t0.val.labels])
     assert np.array_equal(remapped, (orig == 1).astype(int))
+
+
+def test_make_split_tasks_train_and_val_view_one_copy(tmp_path):
+    images, labels, ip, lp = fixture_pair(tmp_path, n=60, seed=4)
+    train = load_idx(ip, lp)
+    for t in make_split_tasks(train, train, [(0, 1), (2, 3)], val_fraction=0.2):
+        assert t.train.stored.dtype == np.uint8
+        pair = t.train.stored.base
+        assert pair is not None and t.val.stored.base is pair
+        assert np.shares_memory(t.train.stored, pair) and np.shares_memory(t.val.stored, pair)
+        assert not np.shares_memory(t.train.stored, train.stored)
+        a, b = (int(c) for c in t.train.class_names)
+        mask = (labels == a) | (labels == b)
+        both = np.concatenate([t.train.inputs, t.val.inputs])
+        assert both.tobytes() == (images.reshape(60, -1)[mask].astype(np.float64) / 255.0).tobytes()
+
+
+def test_load_and_split_peak_memory(tmp_path):
+    side = 28
+    (tmp_path / "train").mkdir()
+    (tmp_path / "test").mkdir()
+    tr_images, _, tr_ip, tr_lp = fixture_pair(tmp_path / "train", n=2000, rows=side, cols=side, seed=5)
+    te_images, _, te_ip, te_lp = fixture_pair(tmp_path / "test", n=400, rows=side, cols=side, seed=6)
+    image_bytes = tr_images.nbytes + te_images.nbytes
+    tracemalloc.start()
+    try:
+        tasks = make_split_tasks(
+            load_idx(tr_ip, tr_lp), load_idx(te_ip, te_lp), [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tasks) == 5
+    # the file blobs plus one uint8 copy of each pair; float64 would be > 16x
+    assert peak < 3 * image_bytes, f"peak {peak} bytes for {image_bytes} image bytes"
 
 
 def test_make_split_tasks_missing_class():
