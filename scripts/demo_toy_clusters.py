@@ -18,8 +18,11 @@ from gvcl.runner import RunnerConfig, run_continual, run_independent
 def main():
     tasks = gen_toy_clusters(seed=0)
     cfg = RunnerConfig(
-        gvcl=GVCLConfig(beta=1.0, epochs=60, batch_size=50, eval_samples=20),
+        # the tempering and EWC strength of configs/toy_clusters.ini; at
+        # beta = lam = 1 gvcl is plain vcl
+        gvcl=GVCLConfig(beta=0.2, lam=100.0, epochs=60, batch_size=50, eval_samples=20),
         map_epochs=60,
+        ewc_lam=100000.0,
     )
     r_ind = run_independent(tasks, cfg, seed=0)
     print(f"independent reference accuracies: {np.round(r_ind, 3)}")

@@ -161,16 +161,32 @@ class EWCState:
     lam: float = 1.0
     gamma: float = 1.0
 
+    @cached_property
+    def lam_fisher(self):
+        """The penalty's precision lam * fisher_acc, once per state."""
+        return self.lam * self.fisher_acc
+
+
+def _shared_means(net):
+    return [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
+
+
+def _split(flat, params):
+    """Views of a flat vector ordered like `params`, one per tensor, shaped like it."""
+    views, offset = [], 0
+    for p in params:
+        views.append(flat[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
+    return views
+
 
 def flat_shared_mu(net) -> np.ndarray:
-    return np.concatenate(
-        [np.r_[l.weight_mu.data.ravel(), l.bias_mu.data.ravel()] for l in net.shared]
-    )
+    return np.concatenate([p.data.ravel() for p in _shared_means(net)])
 
 
 def fresh_ewc_state(net, lam=1.0, gamma=1.0) -> EWCState:
-    n = flat_shared_mu(net).size
-    return EWCState(np.zeros(n), flat_shared_mu(net), lam, gamma)
+    mu = flat_shared_mu(net)
+    return EWCState(np.zeros(mu.size), mu, lam, gamma)
 
 
 def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
@@ -179,25 +195,30 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     empirical: squared gradients at observed labels, averaged then scaled
     by the dataset size; model: labels drawn from the net's predictive.
     One generator, rng or else default_rng(0), draws both the subsample of
-    max_samples examples and the model-mode labels.
+    max_samples examples and the model-mode labels. `x` is a float array
+    or a `data.Dataset`, whose `rows` scales only the drawn examples.
+    Gradients are cleared from every net tensor on return.
     """
-    x = np.asarray(x)
     y = np.asarray(y)
-    n_total = x.shape[0]
+    n_total = len(x)
     if n_total == 0:
         raise ValueError("fisher_diag: empty dataset")
     if mode not in ("empirical", "model"):
         raise ValueError(f"unknown fisher mode {mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    idx = np.arange(n_total)
+    idx = slice(None)
     if max_samples is not None and max_samples < n_total:
         idx = rng.choice(n_total, max_samples, replace=False)
-    params = [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
+    xs = x.rows(idx) if hasattr(x, "rows") else np.asarray(x)[idx]
+    ys = y[idx]
+    params = _shared_means(net)
+    tensors = list(net.named_params().values())
     acc = np.zeros(sum(p.size for p in params))
-    for i in idx:
-        xi = x[i : i + 1]
-        yi = y[i : i + 1]
+    views = _split(acc, params)
+    for i in range(len(xs)):
+        xi = xs[i : i + 1]
+        yi = ys[i : i + 1]
         if mode == "model":
             from .nets import predict
 
@@ -205,35 +226,22 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
             yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
             if net.arch.binary_logit:
                 yi = yi.astype(y.dtype)
-        for p in params:
+        for p in tensors:
             p.grad = None
-        loss = nll_node(net, task, xi, yi, noise=None)
-        ad.backward(loss)
-        g = np.concatenate([
-            np.r_[
-                (l.weight_mu.grad if l.weight_mu.grad is not None else np.zeros(l.weight_mu.shape)).ravel(),
-                (l.bias_mu.grad if l.bias_mu.grad is not None else np.zeros(l.bias_mu.shape)).ravel(),
-            ]
-            for l in net.shared
-        ])
-        acc += g * g
-    for p in params:
+        ad.backward(nll_node(net, task, xi, yi, noise=None))
+        for p, view in zip(params, views):
+            if p.grad is not None:
+                view += p.grad * p.grad
+    for p in tensors:
         p.grad = None
-    return acc / len(idx) * n_total
+    return acc / len(xs) * n_total
 
 
 def ewc_penalty_node(net, state: EWCState):
     """(lam/2) sum_i fisher_acc_i (theta_i - anchor_i)^2 as a graph node."""
-    terms = []
-    offset = 0
-    for layer in net.shared:
-        for mu in (layer.weight_mu, layer.bias_mu):
-            n = mu.size
-            f = state.fisher_acc[offset : offset + n].reshape(mu.shape)
-            a = state.anchor_mu[offset : offset + n].reshape(mu.shape)
-            offset += n
-            terms.append((mu, None, a, state.lam * f, None))
-    return ad.diag_gauss_kl(terms)
+    means = _shared_means(net)
+    anchors, precs = _split(state.anchor_mu, means), _split(state.lam_fisher, means)
+    return ad.diag_gauss_kl([(mu, None, a, f, None) for mu, a, f in zip(means, anchors, precs)])
 
 
 def ewc_loss(net, task, x, y, state: EWCState, n_task=None):
@@ -242,7 +250,7 @@ def ewc_loss(net, task, x, y, state: EWCState, n_task=None):
     The accumulated curvature is at whole-dataset scale, so when n_task is
     given the penalty is divided by it to match the per-example NLL.
     """
-    expected = flat_shared_mu(net).size
+    expected = sum(p.size for p in _shared_means(net))
     if state.fisher_acc.size != expected:
         raise ValueError(
             f"EWC state size {state.fisher_acc.size} does not match net ({expected})"

@@ -201,7 +201,7 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
             fisher = obj.fisher_diag(
                 net,
                 spec.task_id,
-                spec.train.inputs,
+                spec.train,
                 spec.train.labels,
                 mode="empirical",
                 rng=train_rng,

@@ -130,6 +130,120 @@ def test_fisher_max_samples_subsets():
     assert np.all(f >= 0)
 
 
+def concat_fisher(net, task, x, y, mode="empirical", rng=None, max_samples=None):
+    """The per-example Fisher loop that fisher_diag must reproduce bit for bit:
+    the whole float array up front, each example's shared-mean gradients
+    concatenated (zeros where missing) and squared into the total."""
+    from gvcl.nets import predict
+
+    x, y = np.asarray(x), np.asarray(y)
+    n_total = x.shape[0]
+    rng = np.random.default_rng(0) if rng is None else rng
+    idx = np.arange(n_total)
+    if max_samples is not None and max_samples < n_total:
+        idx = rng.choice(n_total, max_samples, replace=False)
+    params = [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
+    acc = np.zeros(sum(p.size for p in params))
+    for i in idx:
+        xi, yi = x[i : i + 1], y[i : i + 1]
+        if mode == "model":
+            probs = predict(net, task, xi, mode="mean")
+            yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
+            if net.arch.binary_logit:
+                yi = yi.astype(y.dtype)
+        for p in params:
+            p.grad = None
+        ad.backward(obj.nll_node(net, task, xi, yi, noise=None))
+        g = np.concatenate([
+            np.r_[
+                (l.weight_mu.grad if l.weight_mu.grad is not None else np.zeros(l.weight_mu.shape)).ravel(),
+                (l.bias_mu.grad if l.bias_mu.grad is not None else np.zeros(l.bias_mu.shape)).ravel(),
+            ]
+            for l in net.shared
+        ])
+        acc += g * g
+    for p in params:
+        p.grad = None
+    return acc / len(idx) * n_total
+
+
+FISHER_NETS = {
+    # name: (architecture, FiLM enabled, classes, input shape)
+    "mlp_film": (Architecture.mlp(input_dim=12, hidden=(8,)), True, 2, (12,)),
+    "mlp_plain": (Architecture.mlp(input_dim=12, hidden=(8, 6)), False, 3, (12,)),
+    "conv_small": (Architecture.conv_small(in_shape=(1, 8, 8), channels=(2, 3), dense=5),
+                   True, 2, (1, 8, 8)),
+    "logistic": (Architecture.logistic(), False, 2, (2,)),
+}
+
+
+def fisher_net(name, seed=0):
+    arch, film, classes, shape = FISHER_NETS[name]
+    net = init_net(arch, seed)
+    net.film_enabled = film
+    rng = np.random.default_rng(seed + 1)
+    net.add_task("a", classes, rng)
+    for layer in net.shared:  # nonzero biases, so no ReLU unit is trivially dead
+        layer.bias_mu.data = 0.1 * rng.normal(size=layer.bias_mu.shape)
+    x = rng.normal(size=(14, *shape))
+    return net, x, rng.integers(0, classes, size=14)
+
+
+@pytest.mark.parametrize("name", sorted(FISHER_NETS))
+@pytest.mark.parametrize("mode", ["empirical", "model"])
+@pytest.mark.parametrize("max_samples", [None, 5])
+def test_fisher_bit_equal_to_concatenate_loop(name, mode, max_samples):
+    net, x, y = fisher_net(name)
+    got = fisher_diag(net, "a", x, y, mode=mode, rng=np.random.default_rng(3),
+                      max_samples=max_samples)
+    want = concat_fisher(net, "a", x, y, mode=mode, rng=np.random.default_rng(3),
+                         max_samples=max_samples)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.max() > 0
+
+
+def test_fisher_scales_only_the_drawn_rows_of_a_dataset():
+    from gvcl.data import Dataset
+
+    class SpyDataset(Dataset):
+        read = []
+
+        def rows(self, idx):
+            self.read.append(np.array(idx))
+            return super().rows(idx)
+
+        @property
+        def inputs(self):
+            raise AssertionError("fisher_diag read the whole float array")
+
+    net, _, y = fisher_net("mlp_film")
+    pixels = np.random.default_rng(4).integers(0, 256, size=(len(y), 12), dtype=np.uint8)
+    ds = SpyDataset(pixels, y)
+    got = fisher_diag(net, "a", ds, y, rng=np.random.default_rng(5), max_samples=6)
+    drawn = np.random.default_rng(5).choice(len(y), 6, replace=False)
+    assert len(ds.read) == 1 and np.array_equal(ds.read[0], drawn)
+    want = concat_fisher(net, "a", pixels / 255.0, y, rng=np.random.default_rng(5), max_samples=6)
+    assert np.array_equal(got, want)
+
+
+def test_fisher_leaves_no_gradients():
+    # FiLM scales and shifts and the head get gradients in every backward
+    # pass too; none may outlive the call
+    net, x, y = fisher_net("mlp_film")
+    fisher_diag(net, "a", x, y, max_samples=4)
+    assert all(t.grad is None for t in net.named_params().values())
+
+
+def test_ewc_penalty_precision_follows_replace():
+    net = tiny_net(seed=9)
+    state = fresh_ewc_state(net, lam=2.0)
+    assert np.array_equal(state.lam_fisher, np.zeros_like(state.fisher_acc))
+    new = dataclasses.replace(state, fisher_acc=np.full_like(state.fisher_acc, 3.0))
+    assert np.array_equal(new.lam_fisher, np.full_like(state.fisher_acc, 6.0))
+    assert np.array_equal(dataclasses.replace(new, lam=0.5).lam_fisher,
+                          np.full_like(state.fisher_acc, 1.5))
+
+
 def test_ewc_penalty_zero_at_anchor_and_quadratic():
     net = tiny_net(seed=9)
     state = fresh_ewc_state(net, lam=2.0)
