@@ -1,13 +1,12 @@
 """Minimal dense-tensor reverse-mode autodiff.
 
-Covers exactly the ops needed for mean-field MLPs, small 2-D convolutions
-and Gaussian ELBO terms: elementwise arithmetic, matmul, conv2d (stride 1
-or 2, square kernel, zero padding), relu/sigmoid/log/exp/square,
-sum/mean reductions, softmax and sigmoid cross-entropy and the
-per-feature / per-channel scale-shift used by FiLM layers. Fused ops each
-build one node with a closed-form backward: ``dense`` (a whole dense
-layer, relu((x @ w + b) * gamma + shift)), ``reparam`` (the draw
-mu + exp(logvar / 2) * eps), ``diag_gauss_kl`` (the clipped
+Covers exactly the ops needed for mean-field MLPs and Gaussian ELBO
+terms on 2-D (batch, features) data: add (with a bias broadcast), mul,
+matmul, relu/log/exp/square, sum/mean reductions, and softmax and
+sigmoid cross-entropy. Fused ops each build one node with a closed-form
+backward: ``dense`` (a whole dense layer, relu((x @ w + b) * gamma +
+shift), with the FiLM scale-shift and the ReLU optional), ``reparam``
+(the draw mu + exp(logvar / 2) * eps), ``diag_gauss_kl`` (the clipped
 diagonal-Gaussian KL over many tensors, or its quadratic term alone, the
 Online-EWC penalty) and ``sigmoid_cross_entropy``.
 
@@ -102,38 +101,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    # -- elementwise arithmetic -------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, Tensor(-np.ones_like(self.data)))
-
-    # -- reductions / conveniences ----------------------------------------
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def backward(self):
-        backward(self)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _bias_broadcastable(a_shape, b_shape):
     # (..., F) + (F,) bias convention; the only broadcast add allows.
@@ -152,14 +119,6 @@ def add(a, b):
     else:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
     return Tensor._result("add", a.data + b.data, (a, b), back)
-
-
-def sub(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not conform")
-    return Tensor._result(
-        "sub", a.data - b.data, (a, b), lambda g: (g, -g if b.requires_grad else None)
-    )
 
 
 def mul(a, b):
@@ -199,11 +158,6 @@ def matmul(a, b):
 def relu(a):
     mask = a.data > 0
     return Tensor._result("relu", a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def sigmoid(a):
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor._result("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def log(a):
@@ -364,39 +318,6 @@ def diag_gauss_kl(terms, const=0.0):
     return Tensor._result("diag_gauss_kl", np.asarray(0.5 * (total + const)), parents, back)
 
 
-def scale_shift(x, gamma, shift):
-    """FiLM transform: per-feature for 2-D input, per-channel for 4-D NCHW."""
-    if len(x.shape) == 2:
-        if gamma.shape != (x.shape[1],) or shift.shape != (x.shape[1],):
-            raise ShapeError(
-                f"scale_shift: feature params {gamma.shape}/{shift.shape} do not "
-                f"match input {x.shape}"
-            )
-        gd = gamma.data[None, :]
-        axes = (0,)
-    elif len(x.shape) == 4:
-        if gamma.shape != (x.shape[1],) or shift.shape != (x.shape[1],):
-            raise ShapeError(
-                f"scale_shift: channel params {gamma.shape}/{shift.shape} do not "
-                f"match input {x.shape}"
-            )
-        gd = gamma.data[None, :, None, None]
-        axes = (0, 2, 3)
-    else:
-        raise ShapeError(f"scale_shift: input shape {x.shape} is not 2-D or 4-D")
-    xd = x.data
-
-    def back(g):
-        return (
-            g * gd if x.requires_grad else None,
-            (g * xd).sum(axis=axes) if gamma.requires_grad else None,
-            g.sum(axis=axes) if shift.requires_grad else None,
-        )
-
-    sd = shift.data.reshape(gd.shape)
-    return Tensor._result("scale_shift", xd * gd + sd, (x, gamma, shift), back)
-
-
 def dense(x, w, b, gamma=None, shift=None, relu=True):
     """A dense layer, relu((x @ w + b) * gamma + shift), as one node.
 
@@ -404,8 +325,8 @@ def dense(x, w, b, gamma=None, shift=None, relu=True):
     place on the matmul's output and checks finiteness once, at the end:
     NaN and Inf survive +b, *gamma, +shift and the ReLU mask, so that is
     as strict as a check after every step. Forward and backward repeat
-    the numpy work of the chain matmul -> add -> scale_shift -> relu, so
-    both are bit-identical to it.
+    the numpy work of the op chain matmul -> add -> (x * gamma + shift)
+    -> relu, so both are bit-identical to it.
     """
     if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: shapes {x.shape} and {w.shape} do not conform")
@@ -445,93 +366,6 @@ def dense(x, w, b, gamma=None, shift=None, relu=True):
         return grads + (gg, gs) if film else grads
 
     return Tensor._result("dense", out, parents, back)
-
-
-# -- convolution -----------------------------------------------------------
-
-
-def _im2col(x, k, stride, pad):
-    n, c, h, w = x.shape
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, k, k, ho, wo), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * k * k, ho * wo), ho, wo
-
-
-def _col2im(cols, x_shape, k, stride, pad, ho, wo):
-    n, c, h, w = x_shape
-    cols = cols.reshape(n, c, k, k, ho, wo)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad:-pad, pad:-pad]
-    return xp
-
-
-def conv2d(x, kernel, stride=1, padding=0):
-    """2-D convolution, NCHW input, (F, C, K, K) kernel, zero padding."""
-    if len(x.shape) != 4 or len(kernel.shape) != 4:
-        raise ShapeError(f"conv2d: input {x.shape} / kernel {kernel.shape} are not 4-D")
-    if kernel.shape[2] != kernel.shape[3]:
-        raise ShapeError(f"conv2d: kernel {kernel.shape} is not square")
-    if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(
-            f"conv2d: kernel channels {kernel.shape} do not match input {x.shape}"
-        )
-    if stride not in (1, 2):
-        raise ShapeError(f"conv2d: stride {stride} not supported (1 or 2)")
-    f, c, k, _ = kernel.shape
-    n = x.shape[0]
-    cols, ho, wo = _im2col(x.data, k, stride, padding)
-    wmat = kernel.data.reshape(f, c * k * k)
-    out = np.einsum("fp,npq->nfq", wmat, cols).reshape(n, f, ho, wo)
-
-    x_shape = x.shape
-
-    def back(g):
-        gmat = g.reshape(n, f, ho * wo)
-        gx = gw = None
-        if kernel.requires_grad:
-            gw = np.einsum("nfq,npq->fp", gmat, cols).reshape(f, c, k, k)
-        if x.requires_grad:
-            gcols = np.einsum("fp,nfq->npq", wmat, gmat)
-            gx = _col2im(gcols, x_shape, k, stride, padding, ho, wo)
-        return gx, gw
-
-    return Tensor._result("conv2d", out, (x, kernel), back)
-
-
-def max_pool2(x):
-    """2x2 max pooling with stride 2 (NCHW)."""
-    if len(x.shape) != 4 or x.shape[2] % 2 or x.shape[3] % 2:
-        raise ShapeError(f"max_pool2: input shape {x.shape} not 4-D with even H, W")
-    n, c, h, w = x.shape
-    r = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    out = r.max(axis=(3, 5))
-    mask = r == out[:, :, :, None, :, None]
-    # break ties deterministically: keep only the first max per window
-    flat = mask.reshape(n, c, h // 2, w // 2, 4)
-    first = np.cumsum(flat, axis=-1) == 1
-    mask = (flat & first).reshape(n, c, h // 2, 2, w // 2, 2)
-
-    def back(g):
-        gr = mask * g[:, :, :, None, :, None]
-        return (gr.reshape(n, c, h, w),)
-
-    return Tensor._result("max_pool2", out, (x,), back)
-
-
-def reshape(x, shape):
-    old = x.shape
-    return Tensor._result(
-        "reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(old),)
-    )
 
 
 # -- backward pass ---------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import json
 import os
 import sys
 import tempfile

@@ -33,7 +33,7 @@ class Dataset:
     image set is held at one byte per pixel.
     """
 
-    stored: np.ndarray  # (N, features) or (N, C, H, W): float, or uint8 pixels
+    stored: np.ndarray  # (N, features): float, or uint8 pixels
     labels: np.ndarray  # integer vector
     class_names: list = field(default_factory=list)
 

@@ -1,7 +1,7 @@
 """Closed-form calculus on diagonal Gaussians.
 
 KL divergences (plain, mean-tempered, trace-tempered), covariance
-tempering, the clipped data-dependent-precision prior, diagonal and
+tempering, the clipped data-dependent prior precision, diagonal and
 low-rank precision approximations, and the optimal FiLM scale for a
 Gaussian posterior/prior pair.
 """
@@ -32,31 +32,6 @@ class DiagGaussian:
     @property
     def dim(self):
         return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class ClippedPrecisionPrior:
-    """Previous posterior with its data-dependent precision up-weighted.
-
-    Effective precision is lam * max(0, 1/base.var - 1/prior0_var)
-    + 1/prior0_var; the clip threshold is exactly zero.
-    """
-
-    base: DiagGaussian
-    prior0_var: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "prior0_var", np.asarray(self.prior0_var, dtype=np.float64)
-        )
-        if self.prior0_var.shape != self.base.mu.shape:
-            raise ValueError("prior0_var must match base dimension")
-        if np.any(self.effective_precision() <= 0):
-            raise ValueError("effective precision must be strictly positive")
-
-    def effective_precision(self):
-        return clipped_precision(self.base.var, self.prior0_var, self.lam)
 
 
 def clipped_precision(var, prior0_var, lam):
@@ -99,25 +74,6 @@ def kl_lambda(q: DiagGaussian, p: DiagGaussian, lam: float) -> float:
             lam * (q.mu - p.mu) ** 2 / p.var
             + q.var / p.var
             + np.log(p.var / q.var)
-            - 1.0
-        )
-    )
-
-
-def kl_lambda_tilde(q: DiagGaussian, prior: ClippedPrecisionPrior) -> float:
-    """KL against the previous posterior with clipped up-weighted precision.
-
-    The quadratic mean term uses the clipped effective precision; trace and
-    log-det terms use the unmodified base variances.
-    """
-    _check_dims(q, prior.base)
-    prec = prior.effective_precision()
-    base = prior.base
-    return 0.5 * float(
-        np.sum(
-            prec * (q.mu - base.mu) ** 2
-            + q.var / base.var
-            + np.log(base.var / q.var)
             - 1.0
         )
     )

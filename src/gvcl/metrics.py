@@ -46,14 +46,6 @@ def net_gain(r, r_ind) -> float:
     return fwt(r, r_ind) + bwt(r)
 
 
-def delta_acc(r, i) -> float:
-    """Mean accuracy drop on the first i tasks from step i to the end."""
-    t = _check_matrix(r)
-    if not 1 <= i <= t:
-        raise ValueError(f"i must be in [1, {t}], got {i}")
-    return float(np.mean([r[i - 1][j] - r[t - 1][j] for j in range(i)]))
-
-
 def calibration_curve(confidences, correctness, bins=15):
     """Per-bin (index, mean confidence, accuracy, count) rows over
     equal-width confidence bins; an empty bin has NaN means."""

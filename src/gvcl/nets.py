@@ -1,35 +1,34 @@
-"""Mean-field Bayesian networks with per-task FiLM layers and heads.
+"""Mean-field Bayesian MLPs with per-task FiLM layers and heads.
 
-A net owns shared mean-field layers (dense / conv), one FiLM parameter set
-per (task, site), and one mean-field head per task. Sampling uses the
-reparameterization theta = mu + exp(logvar / 2) * eps with noise shared
-across the batch.
+A net owns a stack of shared mean-field dense layers, one FiLM parameter
+set per (task, FiLM layer), and one mean-field head per task. Sampling
+uses the reparameterization theta = mu + exp(logvar / 2) * eps with noise
+shared across the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .gaussians import DiagGaussian
 
 DEFAULT_INIT_LOGVAR = np.log(1e-6)
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str  # "dense" | "conv" | "pool" | "flatten"
-    # dense: (fan_in, fan_out); conv: (in_ch, out_ch, k, pad, stride)
-    dims: tuple = ()
+    """One shared dense layer: (fan_in, fan_out), and whether it has FiLM."""
+
+    dims: tuple
     film: bool = False
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer stack plus head geometry; identifies FiLM sites."""
+    """Shared dense layer stack plus head geometry."""
 
     name: str
     layers: tuple
@@ -41,54 +40,27 @@ class Architecture:
         layers = []
         fan_in = input_dim
         for h in hidden:
-            layers.append(LayerSpec("dense", (fan_in, h), film=True))
+            layers.append(LayerSpec((fan_in, h), film=True))
             fan_in = h
         return Architecture("mlp", tuple(layers), head_in=fan_in)
-
-    @staticmethod
-    def conv_small(in_shape=(1, 28, 28), channels=(16, 32), dense=100):
-        c, h, w = in_shape
-        layers = []
-        for ch in channels:
-            layers.append(LayerSpec("conv", (c, ch, 3, 1, 1), film=True))
-            layers.append(LayerSpec("pool"))
-            c, h, w = ch, h // 2, w // 2
-        flat = c * h * w
-        layers.append(LayerSpec("flatten", (flat,)))
-        layers.append(LayerSpec("dense", (flat, dense), film=True))
-        return Architecture("conv_small", tuple(layers), head_in=dense)
 
     @staticmethod
     def logistic(input_dim=2):
         # single shared logit, shared across tasks; no heads, no FiLM
         return Architecture(
-            "logistic",
-            (LayerSpec("dense", (input_dim, 1), film=False),),
-            head_in=0,
-            binary_logit=True,
+            "logistic", (LayerSpec((input_dim, 1)),), head_in=0, binary_logit=True
         )
-
-    def weighted_specs(self):
-        return [s for s in self.layers if s.kind in ("dense", "conv")]
-
-    def film_sites(self):
-        return [i for i, s in enumerate(self.weighted_specs()) if s.film]
 
 
 class MeanFieldLayer:
-    """Gaussian weight and bias parameters of one dense or conv layer."""
+    """Gaussian weight and bias parameters of one dense layer."""
 
-    def __init__(self, weight_shape, bias_shape, rng, init_logvar=DEFAULT_INIT_LOGVAR):
-        fan_in = int(np.prod(weight_shape[:-1])) if len(weight_shape) == 2 else int(
-            np.prod(weight_shape[1:])
-        )
+    def __init__(self, fan_in, fan_out, rng, init_logvar=DEFAULT_INIT_LOGVAR):
         std = 0.1 / np.sqrt(fan_in)
-        self.weight_mu = Tensor(rng.normal(0.0, std, size=weight_shape), requires_grad=True)
-        self.weight_logvar = Tensor(
-            np.full(weight_shape, init_logvar), requires_grad=True
-        )
-        self.bias_mu = Tensor(np.zeros(bias_shape), requires_grad=True)
-        self.bias_logvar = Tensor(np.full(bias_shape, init_logvar), requires_grad=True)
+        self.weight_mu = Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
+        self.weight_logvar = Tensor(np.full((fan_in, fan_out), init_logvar), requires_grad=True)
+        self.bias_mu = Tensor(np.zeros(fan_out), requires_grad=True)
+        self.bias_logvar = Tensor(np.full(fan_out, init_logvar), requires_grad=True)
 
     def params(self):
         return {
@@ -110,19 +82,9 @@ class MeanFieldLayer:
             ad.reparam(self.bias_mu, self.bias_logvar, noise["bias"]),
         )
 
-    def posterior(self):
-        mu = np.concatenate([self.weight_mu.data.ravel(), self.bias_mu.data.ravel()])
-        var = np.concatenate(
-            [
-                np.exp(self.weight_logvar.data.ravel()),
-                np.exp(self.bias_logvar.data.ravel()),
-            ]
-        )
-        return DiagGaussian(mu, var)
-
 
 class FiLMParams:
-    """Per-task feature/filter-wise scale and shift (point estimates)."""
+    """Per-task feature-wise scale and shift (point estimates)."""
 
     def __init__(self, width):
         self.gamma = Tensor(np.ones(width), requires_grad=True)
@@ -136,14 +98,7 @@ class VariationalNet:
     def __init__(self, arch: Architecture, rng, init_logvar=DEFAULT_INIT_LOGVAR):
         self.arch = arch
         self.init_logvar = init_logvar
-        self.shared = []
-        for spec in arch.weighted_specs():
-            if spec.kind == "dense":
-                fi, fo = spec.dims
-                self.shared.append(MeanFieldLayer((fi, fo), (fo,), rng, init_logvar))
-            else:
-                ci, co, k, _, _ = spec.dims
-                self.shared.append(MeanFieldLayer((co, ci, k, k), (co,), rng, init_logvar))
+        self.shared = [MeanFieldLayer(*spec.dims, rng, init_logvar) for spec in arch.layers]
         self.film = {}
         self.heads = {}
         self.film_enabled = True
@@ -155,15 +110,8 @@ class VariationalNet:
         if task in self.heads:
             raise ValueError(f"task {task!r} already present")
         if self.arch.head_in:
-            self.heads[task] = MeanFieldLayer(
-                (self.arch.head_in, classes), (classes,), rng, self.init_logvar
-            )
-        sites = []
-        for spec in self.arch.weighted_specs():
-            if spec.film:
-                width = spec.dims[1]
-                sites.append(FiLMParams(width))
-        self.film[task] = sites
+            self.heads[task] = MeanFieldLayer(self.arch.head_in, classes, rng, self.init_logvar)
+        self.film[task] = [FiLMParams(spec.dims[1]) for spec in self.arch.layers if spec.film]
 
     def has_task(self, task):
         return task in self.film
@@ -175,39 +123,23 @@ class VariationalNet:
         if not self.has_task(task):
             raise KeyError(f"unknown task id {task!r}")
         h = x if isinstance(x, Tensor) else Tensor(x)
-        w_idx = 0
-        film_idx = 0
-        for spec in self.arch.layers:
-            if spec.kind == "pool":
-                h = ad.max_pool2(h)
-                continue
-            if spec.kind == "flatten":
-                h = ad.reshape(h, (h.shape[0], spec.dims[0]))
-                continue
-            layer = self.shared[w_idx]
-            w, b = layer.sample(_sub_noise(noise, f"shared.{w_idx}"))
-            fp = self.film[task][film_idx] if spec.film and self.film_enabled else None
-            film_idx += spec.film
-            hidden = not self._is_output(w_idx)
-            w_idx += 1
-            if spec.kind == "dense":
-                gamma, shift = (fp.gamma, fp.shift) if fp is not None else (None, None)
-                h = ad.dense(h, w, b, gamma, shift, relu=hidden)
-                continue
-            _, _, _, pad, stride = spec.dims
-            h = _conv_bias(ad.conv2d(h, w, stride=stride, padding=pad), b)
-            if fp is not None:
-                h = ad.scale_shift(h, fp.gamma, fp.shift)
-            h = ad.relu(h) if hidden else h
+        film = iter(self.film[task])
+        for i, (spec, layer) in enumerate(zip(self.arch.layers, self.shared)):
+            w, b = layer.sample(_sub_noise(noise, f"shared.{i}"))
+            gamma = shift = None
+            fp = next(film) if spec.film else None
+            if fp is not None and self.film_enabled:
+                gamma, shift = fp.gamma, fp.shift
+            h = ad.dense(h, w, b, gamma, shift, relu=not self._is_output(i))
         if self.arch.head_in:
             head = self.heads[task]
             w, b = head.sample(_sub_noise(noise, f"head.{task!r}"))
             h = ad.dense(h, w, b, relu=False)
         return h
 
-    def _is_output(self, w_idx):
+    def _is_output(self, i):
         # the shared stack is all hidden (ReLU) unless there are no heads
-        return self.arch.head_in == 0 and w_idx == len(self.shared) - 1
+        return self.arch.head_in == 0 and i == len(self.shared) - 1
 
     # -- noise -------------------------------------------------------------
 
@@ -268,19 +200,6 @@ class VariationalNet:
                     out[f"head.{task!r}.{k}"] = t
         return out
 
-    def shared_posterior(self):
-        """Flattened DiagGaussian over all shared weights and biases."""
-        parts = [layer.posterior() for layer in self.shared]
-        mu = np.concatenate([p.mu for p in parts])
-        var = np.concatenate([p.var for p in parts])
-        return DiagGaussian(mu, var)
-
-
-def _conv_bias(h, b):
-    # (N, C, H, W) + per-channel bias via the scale-shift gradient machinery
-    ones = Tensor(np.ones(b.shape))
-    return ad.scale_shift(h, ones, b)
-
 
 def _sub_noise(noise, key):
     if noise is None:
@@ -332,7 +251,7 @@ def prune_diagnostics(net, prior_var: float, task):
 
     Score of a node is the mean symmetric KL between each incoming weight's
     posterior and N(0, prior_var); returned with each node's bias posterior
-    mean, one row per weighted shared layer.
+    mean, one row per shared layer.
     """
     rows = []
     for layer in net.shared:
@@ -341,11 +260,7 @@ def prune_diagnostics(net, prior_var: float, task):
         # symmetric KL of N(mu, v) vs N(0, pv), per weight
         pv = prior_var
         skl = 0.5 * (w_var / pv + pv / w_var - 2.0) + 0.5 * w_mu**2 * (1.0 / pv + 1.0 / w_var)
-        if w_mu.ndim == 2:
-            scores = skl.mean(axis=0)  # (out,)
-        else:
-            scores = skl.mean(axis=tuple(range(1, w_mu.ndim)))  # per filter
-        rows.append({"scores": scores, "bias_mu": layer.bias_mu.data.copy()})
+        rows.append({"scores": skl.mean(axis=0), "bias_mu": layer.bias_mu.data.copy()})
     return rows
 
 

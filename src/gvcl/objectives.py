@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .gaussians import DiagGaussian
 from .gaussians import clipped_precision as _clipped_prec
 
 
@@ -73,11 +72,6 @@ class NetPrior:
                 const += float(np.sum(np.log(pv)) - pv.size)
         return const
 
-    def flatten(self) -> DiagGaussian:
-        mu = np.concatenate([np.r_[l.w_mu.ravel(), l.b_mu.ravel()] for l in self.layers])
-        var = np.concatenate([np.r_[l.w_var.ravel(), l.b_var.ravel()] for l in self.layers])
-        return DiagGaussian(mu, var)
-
 
 def initial_prior(net, prior0_var=1.0) -> NetPrior:
     layers = []
@@ -128,12 +122,8 @@ def nll_node(net, task, x, y, noise):
     """Mean negative log-likelihood of a batch under one sampled network."""
     logits = net.forward_sample(task, x, noise=noise)
     if net.arch.binary_logit:
-        return _binary_nll(logits, y)
+        return ad.tmean(ad.sigmoid_cross_entropy(logits, y))
     return ad.tmean(ad.softmax_cross_entropy(logits, y))
-
-
-def _binary_nll(logits, y):
-    return ad.tmean(ad.sigmoid_cross_entropy(logits, y))
 
 
 def beta_elbo_loss(net, task, x, y, prior: NetPrior, cfg: GVCLConfig, n_task: int, rng):

@@ -68,9 +68,10 @@ class SGD:
         self.decay = decay
 
     def step(self):
-        for p in self.params:
+        for i, p in enumerate(self.params):
             if p.grad is None:
-                continue
+                raise ValueError(f"SGD.step: parameter {i} {p.shape} has no gradient")
+        for p in self.params:
             p.data = p.data - self.lr * p.grad
 
     def zero_grad(self):

@@ -129,19 +129,12 @@ def evaluate_matrix_row(net, tasks_seen, num_samples, rng):
     return row, np.concatenate(confidence), np.concatenate(correct)
 
 
-def _default_arch(tasks):
-    x = tasks[0].train.stored
-    if x.ndim == 4:
-        return Architecture.conv_small(in_shape=x.shape[1:])
-    return Architecture.mlp(input_dim=x.shape[1])
-
-
 def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=None):
     """Train a task sequence and return the filled RunRecord."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
     if arch is None:
-        arch = _default_arch(tasks)
+        arch = Architecture.mlp(input_dim=tasks[0].train.stored.shape[1])
     gcfg = dataclasses.replace(cfg.gvcl)
     if method in ("vcl", "vcl_film"):
         gcfg = dataclasses.replace(gcfg, beta=1.0, lam=1.0)
@@ -221,11 +214,10 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
     return record, net
 
 
-def run_independent(tasks, cfg: RunnerConfig, seed, family="vi", arch=None):
-    """Reference accuracies from single-task training (one fresh net each)."""
+def run_independent(tasks, cfg: RunnerConfig, seed):
+    """Reference accuracies from single-task gvcl training (one fresh net each)."""
     accs = []
-    method = "gvcl" if family == "vi" else "map_sgd"
     for i, spec in enumerate(tasks):
-        record, _ = run_continual(method, [spec], cfg, seed + i, arch=arch)
+        record, _ = run_continual("gvcl", [spec], cfg, seed + i)
         accs.append(record.result_matrix[0][0])
     return accs

@@ -39,7 +39,7 @@ def test_composite_graph_gradients(seed):
     def forward(arrs):
         x, w, b, gamma, shift = [Tensor(a, requires_grad=True) for a in arrs]
         h = ad.add(ad.matmul(x, w), b)  # bias broadcast
-        h = ad.scale_shift(h, gamma, shift)
+        h = scale_shift(h, gamma, shift)
         h = ad.relu(h)
         h = ad.add(ad.square(h), ad.exp(ad.mul(h, Tensor(np.full((), -1.0)))))
         h = ad.log(ad.add(h, Tensor(np.ones(h.shape))))
@@ -56,55 +56,6 @@ def test_composite_graph_gradients(seed):
     arrs = [xd, wd, bd, gd, sd]
     for i, p in enumerate(params):
         assert_close(p.grad, numgrad(scalar, arrs, i))
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-def test_conv2d_gradients(seed, stride, pad):
-    rng = np.random.default_rng(seed)
-    xd = rng.normal(size=(2, 3, 6, 6))
-    kd = rng.normal(size=(4, 3, 3, 3))
-
-    def scalar(arrs):
-        x, k = Tensor(arrs[0]), Tensor(arrs[1])
-        return float(ad.conv2d(x, k, stride=stride, padding=pad).data.sum())
-
-    x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
-    ad.backward(ad.tsum(ad.conv2d(x, k, stride=stride, padding=pad)))
-    arrs = [xd, kd]
-    assert_close(x.grad, numgrad(scalar, arrs, 0))
-    assert_close(k.grad, numgrad(scalar, arrs, 1))
-
-
-def test_conv2d_forward_matches_naive_loop():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 3, 5, 5))
-    k = rng.normal(size=(4, 3, 3, 3))
-    stride, pad = 2, 1
-    out = ad.conv2d(Tensor(x), Tensor(k), stride=stride, padding=pad).data
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (5 + 2 * pad - 3) // stride + 1
-    ref = np.zeros((2, 4, ho, ho))
-    for n in range(2):
-        for f in range(4):
-            for i in range(ho):
-                for j in range(ho):
-                    patch = xp[n, :, i * stride : i * stride + 3, j * stride : j * stride + 3]
-                    ref[n, f, i, j] = np.sum(patch * k[f])
-    assert np.allclose(out, ref, atol=1e-12)
-
-
-def test_max_pool2_forward_and_gradient():
-    x = Tensor(
-        np.array([[[[1.0, 2.0, 5.0, 3.0], [4.0, 3.0, 1.0, 0.0], [7.0, 7.0, 2.0, 2.0], [0.0, 1.0, 2.0, 9.0]]]]),
-        requires_grad=True,
-    )
-    out = ad.max_pool2(x)
-    assert np.array_equal(out.data, [[[[4.0, 5.0], [7.0, 9.0]]]])
-    ad.backward(ad.tsum(out))
-    # ties (the two 7s) route the gradient to the first max only
-    expected = np.array([[[[0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]]], dtype=float)
-    assert np.array_equal(x.grad, expected)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -127,24 +78,6 @@ def test_softmax_cross_entropy_matches_logsumexp(seed):
     assert_close(zt.grad, numgrad(scalar, [z.copy()], 0))
 
 
-def test_scale_shift_4d_gradients():
-    rng = np.random.default_rng(3)
-    xd = rng.normal(size=(2, 3, 4, 4))
-    gd = rng.uniform(0.5, 1.5, 3)
-    sd = rng.normal(size=3)
-    x, g, s = (Tensor(a, requires_grad=True) for a in (xd, gd, sd))
-    ad.backward(ad.tsum(ad.square(ad.scale_shift(x, g, s))))
-
-    def scalar(arrs):
-        return float(
-            np.square(ad.scale_shift(Tensor(arrs[0]), Tensor(arrs[1]), Tensor(arrs[2])).data).sum()
-        )
-
-    arrs = [xd, gd, sd]
-    for i, p in enumerate((x, g, s)):
-        assert_close(p.grad, numgrad(scalar, arrs, i))
-
-
 def test_reused_node_accumulates_gradient():
     a = Tensor(np.array([3.0]), requires_grad=True)
     ad.backward(ad.tsum(ad.mul(a, a)))
@@ -159,33 +92,15 @@ def test_scalar_mul_broadcast():
     assert np.array_equal(a.grad, np.full((2, 3), 2.0))
 
 
-def test_reshape_gradient():
-    a = Tensor(np.arange(6.0), requires_grad=True)
-    ad.backward(ad.tsum(ad.square(ad.reshape(a, (2, 3)))))
-    assert np.allclose(a.grad, 2 * a.data)
-
-
 def test_shape_errors():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         ad.add(a, b)
     with pytest.raises(ShapeError):
-        ad.sub(a, b)
-    with pytest.raises(ShapeError):
         ad.matmul(a, Tensor(np.zeros((2, 2))))
     with pytest.raises(ShapeError):
-        ad.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 3))))
-    with pytest.raises(ShapeError):
-        ad.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride=3)
-    with pytest.raises(ShapeError):
-        ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))))
-    with pytest.raises(ShapeError):
-        ad.max_pool2(Tensor(np.zeros((1, 1, 3, 4))))
-    with pytest.raises(ShapeError):
         ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(3, dtype=int))
-    with pytest.raises(ShapeError):
-        ad.scale_shift(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
         ad.backward(Tensor(np.zeros(3), requires_grad=True))
 
@@ -282,7 +197,8 @@ def test_diag_gauss_kl_gradients(with_logvar):
 
 
 def test_diag_gauss_kl_matches_kl_lambda_tilde():
-    from gvcl.gaussians import ClippedPrecisionPrior, DiagGaussian, kl_lambda_tilde
+    from gvcl.gaussians import DiagGaussian
+    from oracles import ClippedPrecisionPrior, kl_lambda_tilde
 
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -329,7 +245,7 @@ def test_sigmoid_cross_entropy_closed_form_and_gradient():
         ad.sigmoid_cross_entropy(Tensor(np.zeros((3, 1))), np.zeros(2))
 
 
-def test_constant_parent_gradient_not_computed(monkeypatch):
+def test_constant_parent_gradient_not_computed():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(4, 3)))  # data: a constant
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -337,23 +253,28 @@ def test_constant_parent_gradient_not_computed(monkeypatch):
     gx, gw = out._backward(np.ones(out.shape))
     assert gx is None and np.array_equal(gw, x.data.T @ np.ones((4, 2)))
 
-    def no_col2im(*args):
-        raise AssertionError("image gradient computed for a constant input")
-
-    monkeypatch.setattr(ad, "_col2im", no_col2im)
-    img = Tensor(rng.normal(size=(2, 3, 5, 5)))
-    k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-    ad.backward(ad.tsum(ad.conv2d(img, k, padding=1)))
-    assert img.grad is None and k.grad.shape == k.shape
-
 
 # -- fused dense layer, no_grad and backward order ------------------------------
+
+
+def scale_shift(x, gamma, shift):
+    """Reference FiLM op x * gamma + shift on (N, F) input, as one node."""
+    xd, gd = x.data, gamma.data[None, :]
+
+    def back(g):
+        return (
+            g * gd if x.requires_grad else None,
+            (g * xd).sum(axis=0) if gamma.requires_grad else None,
+            g.sum(axis=0) if shift.requires_grad else None,
+        )
+
+    return Tensor._result("scale_shift", xd * gd + shift.data[None, :], (x, gamma, shift), back)
 
 
 def _dense_chain(x, w, b, gamma, shift, relu):
     h = ad.add(ad.matmul(x, w), b)
     if gamma is not None:
-        h = ad.scale_shift(h, gamma, shift)
+        h = scale_shift(h, gamma, shift)
     return ad.relu(h) if relu else h
 
 

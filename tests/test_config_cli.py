@@ -115,10 +115,21 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_shipped_config_loads():
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", "toy_clusters.ini")
-    cfg = load_config(path)
-    assert cfg.name == "toy_clusters_demo" and cfg.runner.gvcl.eval_samples == 20
+@pytest.mark.parametrize("name,experiment,gvcl", [
+    pytest.param("toy_clusters", {"name": "toy_clusters_demo"}, {"eval_samples": 20},
+                 id="toy_clusters"),
+    pytest.param(
+        "split_mnist",
+        {"name": "split_mnist", "dataset": "split_mnist",
+         "methods": ("vcl", "gvcl", "gvcl_film", "ewc"), "seeds": (0, 1, 2)},
+        {"epochs": 100, "batch_size": 256, "eval_samples": 20, "beta": 0.2, "lam": 100.0},
+        id="split_mnist",
+    ),
+])
+def test_shipped_config_loads(name, experiment, gvcl):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.ini"))
+    assert {k: getattr(cfg, k) for k in experiment} == experiment
+    assert {k: getattr(cfg.runner.gvcl, k) for k in gvcl} == gvcl
 
 
 # -- CLI ----------------------------------------------------------------------

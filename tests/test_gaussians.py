@@ -7,18 +7,17 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from gvcl.gaussians import (
-    ClippedPrecisionPrior,
     DiagGaussian,
     diag_approx_by_precision,
     film_optimal_scale,
     kl_diag,
     kl_lambda,
-    kl_lambda_tilde,
     low_rank_kl_cost,
     low_rank_select,
     scaled_kl,
     temper,
 )
+from oracles import ClippedPrecisionPrior, kl_lambda_tilde
 
 
 def random_gaussian(rng, d):

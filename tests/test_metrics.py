@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvcl.metrics import acc, bwt, calibration_curve, delta_acc, ece, fwt, net_gain
+from gvcl.metrics import acc, bwt, calibration_curve, ece, fwt, net_gain
 
 R = [[0.90], [0.80, 0.85]]
 R_IND = [0.88, 0.84]
@@ -23,16 +23,6 @@ def test_acc_simple():
 def test_single_task_degenerate():
     assert acc([[0.5]]) == 0.5
     assert bwt([[0.5]]) == 0.0
-    assert delta_acc([[0.5]], 1) == 0.0
-
-
-def test_delta_acc():
-    assert delta_acc(R, 1) == pytest.approx(0.10, abs=1e-12)
-    assert delta_acc(R, 2) == 0.0  # i = T compares the last row to itself
-    with pytest.raises(ValueError):
-        delta_acc(R, 0)
-    with pytest.raises(ValueError):
-        delta_acc(R, 3)
 
 
 @given(st.integers(0, 10_000))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gvcl import autodiff as ad
-from gvcl.autodiff import Tensor
-from gvcl.gaussians import kl_diag
+from gvcl.gaussians import DiagGaussian, kl_diag
 from gvcl.nets import (
     Architecture,
     init_net,
@@ -32,12 +31,6 @@ def test_identity_film_matches_disabled_bitwise():
     net.film_enabled = False
     without = net.forward_sample("a", x).data
     assert np.array_equal(with_film, without)
-
-
-def test_scale_shift_arithmetic():
-    h = Tensor(np.array([[1.0, 2.0]]))
-    out = ad.scale_shift(h, Tensor(np.array([2.0, 2.0])), Tensor(np.array([1.0, 1.0])))
-    assert np.array_equal(out.data, [[3.0, 5.0]])
 
 
 def test_task_isolation_is_bitwise():
@@ -106,24 +99,25 @@ def test_shared_kl_additivity():
         layer.bias_logvar.data = rng.uniform(-2, 0.5, layer.bias_logvar.shape)
     prior = initial_prior(net, 1.0)
     node_val = float(shared_kl_node(net, prior).data)
-    per_layer = sum(kl_diag(layer.posterior(), _std_prior(layer)) for layer in net.shared)
-    flat = kl_diag(net.shared_posterior(), _std_prior_flat(net))
+    per_layer = sum(_kl_to_std_normal(_posterior([layer])) for layer in net.shared)
+    flat = _kl_to_std_normal(_posterior(net.shared))
     assert node_val == pytest.approx(per_layer, rel=1e-12)
     assert node_val == pytest.approx(flat, rel=1e-12)
 
 
-def _std_prior(layer):
-    from gvcl.gaussians import DiagGaussian
+def _posterior(layers):
+    """DiagGaussian over the weights and biases of `layers`, flattened in order."""
+    pairs = [
+        pair for l in layers
+        for pair in ((l.weight_mu, l.weight_logvar), (l.bias_mu, l.bias_logvar))
+    ]
+    mu = np.concatenate([m.data.ravel() for m, _ in pairs])
+    var = np.exp(np.concatenate([lv.data.ravel() for _, lv in pairs]))
+    return DiagGaussian(mu, var)
 
-    post = layer.posterior()
-    return DiagGaussian(np.zeros_like(post.mu), np.ones_like(post.var))
 
-
-def _std_prior_flat(net):
-    from gvcl.gaussians import DiagGaussian
-
-    post = net.shared_posterior()
-    return DiagGaussian(np.zeros_like(post.mu), np.ones_like(post.var))
+def _kl_to_std_normal(q):
+    return kl_diag(q, DiagGaussian(np.zeros(q.dim), np.ones(q.dim)))
 
 
 def test_predict_rows_sum_to_one():
@@ -290,12 +284,3 @@ def test_predict_validation():
         predict(net, "a", np.zeros((1, 3)), num_samples=0)
     with pytest.raises(ValueError):
         predict(net, "a", np.zeros((1, 3)), mode="bogus")
-
-
-def test_conv_architecture_forward_shape():
-    arch = Architecture.conv_small(in_shape=(1, 8, 8), channels=(2, 3), dense=5)
-    net = init_net(arch, 0)
-    net.add_task("a", 4, np.random.default_rng(1))
-    x = np.random.default_rng(2).normal(size=(2, 1, 8, 8))
-    out = net.forward_sample("a", x)
-    assert out.shape == (2, 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gvcl.autodiff import Tensor
-from gvcl.optim import Adam
+from gvcl.optim import SGD, Adam
 
 
 class PerTensorAdam:
@@ -46,11 +46,12 @@ def test_flat_adam_bit_equal_to_per_tensor_rule():
     assert runs[0] == runs[1]
 
 
-def test_adam_missing_grad_raises():
+@pytest.mark.parametrize("opt_cls", [Adam, SGD], ids=lambda c: c.__name__)
+def test_missing_grad_raises(opt_cls):
     a = Tensor(np.ones(2), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam([a, b])
+    opt = opt_cls([a, b])
     a.grad = np.ones(2)
     with pytest.raises(ValueError, match="parameter 1"):
         opt.step()
-    assert opt.t == 0 and np.array_equal(a.data, np.ones(2))
+    assert getattr(opt, "t", 0) == 0 and np.array_equal(a.data, np.ones(2))
