@@ -115,21 +115,22 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("name,experiment,gvcl", [
-    pytest.param("toy_clusters", {"name": "toy_clusters_demo"}, {"eval_samples": 20},
-                 id="toy_clusters"),
-    pytest.param(
+SHIPPED_CONFIGS = [
+    ("toy_clusters", {"name": "toy_clusters_demo"}, {"eval_samples": 20}),
+    (
         "split_mnist",
         {"name": "split_mnist", "dataset": "split_mnist",
          "methods": ("vcl", "gvcl", "gvcl_film", "ewc"), "seeds": (0, 1, 2)},
         {"epochs": 100, "batch_size": 256, "eval_samples": 20, "beta": 0.2, "lam": 100.0},
-        id="split_mnist",
     ),
-])
-def test_shipped_config_loads(name, experiment, gvcl):
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.ini"))
-    assert {k: getattr(cfg, k) for k in experiment} == experiment
-    assert {k: getattr(cfg.runner.gvcl, k) for k in gvcl} == gvcl
+]
+
+
+def test_shipped_config_loads():
+    for name, experiment, gvcl in SHIPPED_CONFIGS:
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.ini"))
+        assert {k: getattr(cfg, k) for k in experiment} == experiment, name
+        assert {k: getattr(cfg.runner.gvcl, k) for k in gvcl} == gvcl, name
 
 
 # -- CLI ----------------------------------------------------------------------

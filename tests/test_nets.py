@@ -33,6 +33,14 @@ def test_identity_film_matches_disabled_bitwise():
     assert np.array_equal(with_film, without)
 
 
+def test_scale_shift_arithmetic():
+    h = ad.Tensor(np.array([[1.0, 2.0]]))
+    out = ad.dense(h, ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)),
+                   ad.Tensor(np.array([2.0, 2.0])), ad.Tensor(np.array([1.0, 1.0])),
+                   relu=False)
+    assert np.array_equal(out.data, [[3.0, 5.0]])
+
+
 def test_task_isolation_is_bitwise():
     net = small_net()
     x = np.random.default_rng(3).normal(size=(5, 3))
