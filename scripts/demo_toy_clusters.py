@@ -1,33 +1,32 @@
 #!/usr/bin/env python3
 """Quick end-to-end demo on the 2-D cluster tasks (runs in ~a minute).
 
-Trains gvcl, vcl, ewc and map_sgd on the two conflicting binary tasks and
-prints the result matrix and summary metrics for each.
+Trains the methods of configs/toy_clusters.ini on its two conflicting
+binary tasks, with the config's first seed, and prints the result matrix
+and summary metrics for each.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from gvcl import metrics
-from gvcl.data import gen_toy_clusters
-from gvcl.objectives import GVCLConfig
-from gvcl.runner import RunnerConfig, run_continual, run_independent
+from gvcl.cli import build_tasks
+from gvcl.config import load_config
+from gvcl.runner import run_continual, run_independent
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy_clusters.ini"
 
 
 def main():
-    tasks = gen_toy_clusters(seed=0)
-    cfg = RunnerConfig(
-        # the tempering and EWC strength of configs/toy_clusters.ini; at
-        # beta = lam = 1 gvcl is plain vcl
-        gvcl=GVCLConfig(beta=0.2, lam=100.0, epochs=60, batch_size=50, eval_samples=20),
-        map_epochs=60,
-        ewc_lam=100000.0,
-    )
-    r_ind = run_independent(tasks, cfg, seed=0)
+    cfg = load_config(CONFIG)
+    tasks = build_tasks(cfg.dataset, None, cfg.data_seed)
+    seed = cfg.seeds[0]
+    r_ind = run_independent(tasks, cfg.runner, seed=seed)
     print(f"independent reference accuracies: {np.round(r_ind, 3)}")
-    for method in ("gvcl", "vcl", "ewc", "map_sgd"):
-        record, _ = run_continual(method, tasks, cfg, seed=0)
+    for method in cfg.methods:
+        record, _ = run_continual(method, tasks, cfg.runner, seed=seed)
         r = record.result_matrix
         print(f"\n{method}")
         for row in r:

@@ -230,8 +230,9 @@ def _verify_checks():
 
 
 def cmd_verify():
+    checks = _verify_checks()
     failures = 0
-    for name, check in _verify_checks():
+    for name, check in checks:
         t0 = time.perf_counter()
         try:
             ok = bool(check())
@@ -242,7 +243,7 @@ def cmd_verify():
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {name:<45s} {dt * 1000:8.1f} ms")
         failures += not ok
-    print(f"{len(_verify_checks()) - failures} passed, {failures} failed")
+    print(f"{len(checks) - failures} passed, {failures} failed")
     return 1 if failures else 0
 
 

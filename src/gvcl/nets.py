@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-DEFAULT_INIT_LOGVAR = np.log(1e-6)
+INIT_LOGVAR = np.log(1e-6)  # every mean-field tensor starts at variance 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,12 @@ class Architecture:
 class MeanFieldLayer:
     """Gaussian weight and bias parameters of one dense layer."""
 
-    def __init__(self, fan_in, fan_out, rng, init_logvar=DEFAULT_INIT_LOGVAR):
+    def __init__(self, fan_in, fan_out, rng):
         std = 0.1 / np.sqrt(fan_in)
         self.weight_mu = Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
-        self.weight_logvar = Tensor(np.full((fan_in, fan_out), init_logvar), requires_grad=True)
+        self.weight_logvar = Tensor(np.full((fan_in, fan_out), INIT_LOGVAR), requires_grad=True)
         self.bias_mu = Tensor(np.zeros(fan_out), requires_grad=True)
-        self.bias_logvar = Tensor(np.full(fan_out, init_logvar), requires_grad=True)
+        self.bias_logvar = Tensor(np.full(fan_out, INIT_LOGVAR), requires_grad=True)
 
     def params(self):
         return {
@@ -74,12 +74,13 @@ class MeanFieldLayer:
         return [self.weight_mu, self.weight_logvar, self.bias_mu, self.bias_logvar]
 
     def sample(self, noise):
-        """Draw (weight, bias) tensors; noise is a dict or None for eps = 0."""
+        """Draw (weight, bias) tensors with the next two N(0, 1) draws of the
+        `noise` iterator; the means when noise is None."""
         if noise is None:
             return self.weight_mu, self.bias_mu
         return (
-            ad.reparam(self.weight_mu, self.weight_logvar, noise["weight"]),
-            ad.reparam(self.bias_mu, self.bias_logvar, noise["bias"]),
+            ad.reparam(self.weight_mu, self.weight_logvar, next(noise)),
+            ad.reparam(self.bias_mu, self.bias_logvar, next(noise)),
         )
 
 
@@ -95,10 +96,9 @@ class FiLMParams:
 
 
 class VariationalNet:
-    def __init__(self, arch: Architecture, rng, init_logvar=DEFAULT_INIT_LOGVAR):
+    def __init__(self, arch: Architecture, rng):
         self.arch = arch
-        self.init_logvar = init_logvar
-        self.shared = [MeanFieldLayer(*spec.dims, rng, init_logvar) for spec in arch.layers]
+        self.shared = [MeanFieldLayer(*spec.dims, rng) for spec in arch.layers]
         self.film = {}
         self.heads = {}
         self.film_enabled = True
@@ -110,7 +110,7 @@ class VariationalNet:
         if task in self.heads:
             raise ValueError(f"task {task!r} already present")
         if self.arch.head_in:
-            self.heads[task] = MeanFieldLayer(self.arch.head_in, classes, rng, self.init_logvar)
+            self.heads[task] = MeanFieldLayer(self.arch.head_in, classes, rng)
         self.film[task] = [FiLMParams(spec.dims[1]) for spec in self.arch.layers if spec.film]
 
     def has_task(self, task):
@@ -119,13 +119,14 @@ class VariationalNet:
     # -- forward -----------------------------------------------------------
 
     def forward_sample(self, task, x, noise=None):
-        """Logits for a batch; noise maps parameter paths to N(0,1) draws."""
+        """Logits for a batch; noise is a `sample_noise` list, or None for the means."""
         if not self.has_task(task):
             raise KeyError(f"unknown task id {task!r}")
         h = x if isinstance(x, Tensor) else Tensor(x)
         film = iter(self.film[task])
+        noise = None if noise is None else iter(noise)
         for i, (spec, layer) in enumerate(zip(self.arch.layers, self.shared)):
-            w, b = layer.sample(_sub_noise(noise, f"shared.{i}"))
+            w, b = layer.sample(noise)
             gamma = shift = None
             fp = next(film) if spec.film else None
             if fp is not None and self.film_enabled:
@@ -133,7 +134,7 @@ class VariationalNet:
             h = ad.dense(h, w, b, gamma, shift, relu=not self._is_output(i))
         if self.arch.head_in:
             head = self.heads[task]
-            w, b = head.sample(_sub_noise(noise, f"head.{task!r}"))
+            w, b = head.sample(noise)
             h = ad.dense(h, w, b, relu=False)
         return h
 
@@ -144,21 +145,20 @@ class VariationalNet:
     # -- noise -------------------------------------------------------------
 
     def sample_noise(self, task, rng):
-        noise = {}
-        for i, layer in enumerate(self.shared):
-            noise[f"shared.{i}"] = {
-                "weight": rng.standard_normal(layer.weight_mu.shape),
-                "bias": rng.standard_normal(layer.bias_mu.shape),
-            }
-        if self.arch.head_in:
-            head = self.heads[task]
-            noise[f"head.{task!r}"] = {
-                "weight": rng.standard_normal(head.weight_mu.shape),
-                "bias": rng.standard_normal(head.bias_mu.shape),
-            }
-        return noise
+        """N(0, 1) draws, weight then bias for each layer: the shared layers
+        in order, then the task's head."""
+        layers = self.shared + ([self.heads[task]] if self.arch.head_in else [])
+        return [rng.standard_normal(t.shape) for l in layers for t in (l.weight_mu, l.bias_mu)]
 
     # -- parameter access --------------------------------------------------
+
+    def shared_means(self):
+        """The shared layers' mean tensors in flat order: w0, b0, w1, b1, ..."""
+        return [p for l in self.shared for p in (l.weight_mu, l.bias_mu)]
+
+    def shared_logvars(self):
+        """The matching log-variance tensors, in the same order."""
+        return [p for l in self.shared for p in (l.weight_logvar, l.bias_logvar)]
 
     def task_params(self, task):
         out = []
@@ -201,15 +201,20 @@ class VariationalNet:
         return out
 
 
-def _sub_noise(noise, key):
-    if noise is None:
-        return None
-    return noise.get(key)
+def split_flat(flat, tensors):
+    """Views of a flat vector, one per tensor in order, each shaped like it.
+
+    Raises ValueError when the vector's size is not the tensors' total size.
+    """
+    sizes = [t.size for t in tensors]
+    if flat.size != sum(sizes):
+        raise ValueError(f"flat vector of size {flat.size} does not fit tensors of {sum(sizes)}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [part.reshape(t.shape) for part, t in zip(parts, tensors)]
 
 
-def init_net(arch: Architecture, seed: int, init_logvar=DEFAULT_INIT_LOGVAR) -> VariationalNet:
-    rng = np.random.default_rng(seed)
-    return VariationalNet(arch, rng, init_logvar)
+def init_net(arch: Architecture, seed: int) -> VariationalNet:
+    return VariationalNet(arch, np.random.default_rng(seed))
 
 
 def predict(net, task, x, num_samples=1, mode="sampled", rng=None):

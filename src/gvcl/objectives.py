@@ -2,14 +2,15 @@
 
 The ELBO's KL term is one fused ``diag_gauss_kl`` node over the
 shared-layer parameters, so gradients flow to means and log-variances;
-FiLM and head parameters enter the likelihood only. The EWC penalty is
-the same node without log-variances.
+FiLM and head parameters enter the likelihood only. Both losses hold
+their prior as one flat `NetPrior`: the EWC penalty is the KL against a
+prior without variances, its quadratic term alone.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .gaussians import clipped_precision as _clipped_prec
+from .nets import split_flat
 
 
 @dataclass
@@ -39,82 +41,54 @@ class GVCLConfig:
 
 
 @dataclass
-class LayerPrior:
-    """Per-layer prior arrays: base posterior plus clipped quadratic precision."""
-
-    w_mu: np.ndarray
-    w_var: np.ndarray
-    w_prec: np.ndarray
-    b_mu: np.ndarray
-    b_var: np.ndarray
-    b_prec: np.ndarray
-
-    @cached_property
-    def w_inv_var(self):
-        return 1.0 / self.w_var
-
-    @cached_property
-    def b_inv_var(self):
-        return 1.0 / self.b_var
-
-
-@dataclass
 class NetPrior:
-    layers: list
-    prior0_var: float
+    """A diagonal-Gaussian prior over the shared layers, held flat.
+
+    Each array is in `flat_shared_mu` order (w0, b0, w1, b1, ...). `prec`
+    is the precision of the KL's quadratic term, the lambda-tilde clipped
+    one for GVCL; `var` is the variance of its trace and log-det terms.
+    With `var` None the KL is its quadratic term alone: the Online-EWC
+    penalty.
+    """
+
+    mu: np.ndarray
+    prec: np.ndarray
+    var: np.ndarray | None = None
+    _views: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def kl_const(self):
         """The KL's q-independent part, sum(log v - 1), once per prior."""
-        const = 0.0
-        for lp in self.layers:
-            for pv in (lp.w_var, lp.b_var):
-                const += float(np.sum(np.log(pv)) - pv.size)
-        return const
+        return 0.0 if self.var is None else float(np.sum(np.log(self.var)) - self.var.size)
+
+    def views(self, means):
+        """Per-tensor (mu, prec, inv_var) views shaped like `means`, split
+        once per list of shapes; inv_var is None without a variance."""
+        shapes = [p.shape for p in means]
+        if self._views is None or self._views[0] != shapes:
+            inv_var = [None] * len(means) if self.var is None else split_flat(1.0 / self.var, means)
+            views = zip(split_flat(self.mu, means), split_flat(self.prec, means), inv_var)
+            self._views = (shapes, list(views))
+        return self._views[1]
 
 
 def initial_prior(net, prior0_var=1.0) -> NetPrior:
-    layers = []
-    for layer in net.shared:
-        ws, bs = layer.weight_mu.shape, layer.bias_mu.shape
-        layers.append(
-            LayerPrior(
-                w_mu=np.zeros(ws),
-                w_var=np.full(ws, prior0_var),
-                w_prec=np.full(ws, 1.0 / prior0_var),
-                b_mu=np.zeros(bs),
-                b_var=np.full(bs, prior0_var),
-                b_prec=np.full(bs, 1.0 / prior0_var),
-            )
-        )
-    return NetPrior(layers, prior0_var)
+    n = sum(p.size for p in net.shared_means())
+    return NetPrior(np.zeros(n), np.full(n, 1.0 / prior0_var), np.full(n, prior0_var))
 
 
 def posterior_to_prior(net, prior0_var: float, lam: float) -> NetPrior:
     """Wrap the current shared posterior as the next task's tempered prior."""
-    layers = []
-    for layer in net.shared:
-        w_var = np.exp(layer.weight_logvar.data)
-        b_var = np.exp(layer.bias_logvar.data)
-        layers.append(
-            LayerPrior(
-                w_mu=layer.weight_mu.data.copy(),
-                w_var=w_var,
-                w_prec=_clipped_prec(w_var, prior0_var, lam),
-                b_mu=layer.bias_mu.data.copy(),
-                b_var=b_var,
-                b_prec=_clipped_prec(b_var, prior0_var, lam),
-            )
-        )
-    return NetPrior(layers, prior0_var)
+    var = np.exp(np.concatenate([p.data.ravel() for p in net.shared_logvars()]))
+    return NetPrior(flat_shared_mu(net), _clipped_prec(var, prior0_var, lam), var)
 
 
 def shared_kl_node(net, prior: NetPrior):
-    """Differentiable KL(q_shared || prior) with the lam-tilde quadratic term."""
-    terms = []
-    for layer, lp in zip(net.shared, prior.layers):
-        terms.append((layer.weight_mu, layer.weight_logvar, lp.w_mu, lp.w_prec, lp.w_inv_var))
-        terms.append((layer.bias_mu, layer.bias_logvar, lp.b_mu, lp.b_prec, lp.b_inv_var))
+    """Differentiable KL(q_shared || prior) with the lam-tilde quadratic term;
+    the Online-EWC penalty on the shared means when prior.var is None."""
+    means = net.shared_means()
+    logvars = net.shared_logvars() if prior.var is not None else [None] * len(means)
+    terms = [(mu, lv, *v) for mu, lv, v in zip(means, logvars, prior.views(means))]
     return ad.diag_gauss_kl(terms, prior.kl_const)
 
 
@@ -152,26 +126,13 @@ class EWCState:
     gamma: float = 1.0
 
     @cached_property
-    def lam_fisher(self):
-        """The penalty's precision lam * fisher_acc, once per state."""
-        return self.lam * self.fisher_acc
-
-
-def _shared_means(net):
-    return [p for l in net.shared for p in (l.weight_mu, l.bias_mu)]
-
-
-def _split(flat, params):
-    """Views of a flat vector ordered like `params`, one per tensor, shaped like it."""
-    views, offset = [], 0
-    for p in params:
-        views.append(flat[offset : offset + p.size].reshape(p.shape))
-        offset += p.size
-    return views
+    def prior(self) -> NetPrior:
+        """The penalty as a variance-free prior with precision lam * fisher_acc."""
+        return NetPrior(self.anchor_mu, self.lam * self.fisher_acc)
 
 
 def flat_shared_mu(net) -> np.ndarray:
-    return np.concatenate([p.data.ravel() for p in _shared_means(net)])
+    return np.concatenate([p.data.ravel() for p in net.shared_means()])
 
 
 def fresh_ewc_state(net, lam=1.0, gamma=1.0) -> EWCState:
@@ -202,10 +163,10 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
         idx = rng.choice(n_total, max_samples, replace=False)
     xs = x.rows(idx) if hasattr(x, "rows") else np.asarray(x)[idx]
     ys = y[idx]
-    params = _shared_means(net)
+    params = net.shared_means()
     tensors = list(net.named_params().values())
     acc = np.zeros(sum(p.size for p in params))
-    views = _split(acc, params)
+    views = split_flat(acc, params)
     for i in range(len(xs)):
         xi = xs[i : i + 1]
         yi = ys[i : i + 1]
@@ -227,26 +188,14 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     return acc / len(xs) * n_total
 
 
-def ewc_penalty_node(net, state: EWCState):
-    """(lam/2) sum_i fisher_acc_i (theta_i - anchor_i)^2 as a graph node."""
-    means = _shared_means(net)
-    anchors, precs = _split(state.anchor_mu, means), _split(state.lam_fisher, means)
-    return ad.diag_gauss_kl([(mu, None, a, f, None) for mu, a, f in zip(means, anchors, precs)])
-
-
 def ewc_loss(net, task, x, y, state: EWCState, n_task=None):
     """Point-estimate loss: mean NLL at the means plus the anchor penalty.
 
     The accumulated curvature is at whole-dataset scale, so when n_task is
     given the penalty is divided by it to match the per-example NLL.
     """
-    expected = sum(p.size for p in _shared_means(net))
-    if state.fisher_acc.size != expected:
-        raise ValueError(
-            f"EWC state size {state.fisher_acc.size} does not match net ({expected})"
-        )
     nll = nll_node(net, task, x, y, noise=None)
-    penalty = ewc_penalty_node(net, state)
+    penalty = shared_kl_node(net, state.prior)
     if n_task is not None:
         penalty = ad.mul(penalty, Tensor(np.full((), 1.0 / n_task)))
     return ad.add(nll, penalty)

@@ -55,13 +55,23 @@ def test_task_isolation_is_bitwise():
 def test_zero_noise_equals_mean_forward():
     net = small_net()
     x = np.random.default_rng(4).normal(size=(4, 3))
-    noise = net.sample_noise("a", np.random.default_rng(0))
-    for d in noise.values():
-        d["weight"] = np.zeros_like(d["weight"])
-        d["bias"] = np.zeros_like(d["bias"])
+    noise = [np.zeros_like(e) for e in net.sample_noise("a", np.random.default_rng(0))]
     sampled = net.forward_sample("a", x, noise=noise).data
     mean = net.forward_sample("a", x, noise=None).data
     assert np.allclose(sampled, mean, atol=1e-12)
+
+
+def test_sample_noise_is_one_list_in_draw_order():
+    # weight then bias per layer, the shared layers first, then the task's
+    # head: the same arrays as sequential draws from the same seed
+    net = small_net()
+    noise = net.sample_noise("b", np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    shapes = [(3, 6), (6,), (6, 5), (5,), (5, 3), (3,)]
+    want = [rng.standard_normal(shape) for shape in shapes]
+    assert len(noise) == len(want)
+    for got, w in zip(noise, want):
+        assert np.array_equal(got, w)
 
 
 def test_sampled_loglik_gradient_matches_finite_differences():

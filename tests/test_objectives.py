@@ -5,6 +5,7 @@ import pytest
 
 from gvcl import autodiff as ad
 from gvcl import objectives as obj
+from gvcl.gaussians import DiagGaussian
 from gvcl.nets import Architecture, init_net
 from gvcl.objectives import (
     GVCLConfig,
@@ -91,6 +92,47 @@ def test_beta_scales_kl_term_linearly():
     kl = float(shared_kl_node(net, prior).data)
     assert vals[1.0] == pytest.approx(nll + kl / 8, rel=1e-12)
     assert vals[2.0] - vals[1.0] == pytest.approx(kl / 8, rel=1e-9)
+
+
+def test_clipped_prior_kl_through_a_whole_net_matches_oracle():
+    # the lam-tilde prior over a 12-8-6 MLP, held flat, against the
+    # paper's formula on the flattened Gaussians, value and gradients
+    from oracles import ClippedPrecisionPrior, kl_lambda_tilde
+
+    net = init_net(Architecture.mlp(input_dim=12, hidden=(8, 6)), 0)
+    net.add_task("a", 3, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    for p in net.shared_logvars():
+        p.data = rng.uniform(-3.0, 0.5, p.shape)  # some variances above prior0_var
+    prior = posterior_to_prior(net, 1.0, lam=50)
+    for mu, lv in zip(net.shared_means(), net.shared_logvars()):
+        mu.data = mu.data + rng.normal(size=mu.shape)
+        lv.data = lv.data + rng.choice([-1.0, 1.0], lv.shape) * rng.uniform(0.2, 1.0, lv.shape)
+    node = shared_kl_node(net, prior)
+    ad.backward(node)
+
+    def flat(tensors, attr="data"):
+        return np.concatenate([getattr(t, attr).ravel() for t in tensors])
+
+    mu, logvar = flat(net.shared_means()), flat(net.shared_logvars())
+    base = DiagGaussian(prior.mu, prior.var)
+    clipped = ClippedPrecisionPrior(base, np.ones(mu.size), 50)
+    want = kl_lambda_tilde(DiagGaussian(mu, np.exp(logvar)), clipped)
+    assert float(node.data) == pytest.approx(want, rel=1e-12)
+    prec = clipped.effective_precision()
+    assert np.any(prec > 1.0) and np.any(prec == 1.0)  # both sides of the clip
+    np.testing.assert_allclose(flat(net.shared_means(), "grad"), prec * (mu - base.mu),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(flat(net.shared_logvars(), "grad"),
+                               (np.exp(logvar) / base.var - 1.0) / 2, rtol=1e-12, atol=0)
+
+
+def test_prior_of_another_size_raises():
+    net = tiny_net(hidden=(5,))
+    other = tiny_net(hidden=(4,))
+    for prior in (initial_prior(other, 1.0), posterior_to_prior(other, 1.0, lam=2.0)):
+        with pytest.raises(ValueError):
+            shared_kl_node(net, prior)
 
 
 def test_empty_batch_raises():
@@ -235,10 +277,10 @@ def test_fisher_leaves_no_gradients():
 def test_ewc_penalty_precision_follows_replace():
     net = tiny_net(seed=9)
     state = fresh_ewc_state(net, lam=2.0)
-    assert np.array_equal(state.lam_fisher, np.zeros_like(state.fisher_acc))
+    assert np.array_equal(state.prior.prec, np.zeros_like(state.fisher_acc))
     new = dataclasses.replace(state, fisher_acc=np.full_like(state.fisher_acc, 3.0))
-    assert np.array_equal(new.lam_fisher, np.full_like(state.fisher_acc, 6.0))
-    assert np.array_equal(dataclasses.replace(new, lam=0.5).lam_fisher,
+    assert np.array_equal(new.prior.prec, np.full_like(state.fisher_acc, 6.0))
+    assert np.array_equal(dataclasses.replace(new, lam=0.5).prior.prec,
                           np.full_like(state.fisher_acc, 1.5))
 
 
@@ -246,10 +288,10 @@ def test_ewc_penalty_zero_at_anchor_and_quadratic():
     net = tiny_net(seed=9)
     state = fresh_ewc_state(net, lam=2.0)
     state = dataclasses.replace(state, fisher_acc=np.ones_like(state.fisher_acc))
-    assert float(obj.ewc_penalty_node(net, state).data) == pytest.approx(0.0, abs=1e-15)
+    assert float(shared_kl_node(net, state.prior).data) == pytest.approx(0.0, abs=1e-15)
     net.shared[0].weight_mu.data[0, 0] += 3.0
     # (lam/2) * f * delta^2 = (2/2) * 1 * 9
-    assert float(obj.ewc_penalty_node(net, state).data) == pytest.approx(9.0, abs=1e-12)
+    assert float(shared_kl_node(net, state.prior).data) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_ewc_loss_n_task_divides_penalty():
@@ -262,7 +304,7 @@ def test_ewc_loss_n_task_divides_penalty():
         anchor_mu=state.anchor_mu + 1.0,
     )
     nll = float(obj.nll_node(net, "a", x, y, None).data)
-    pen = float(obj.ewc_penalty_node(net, state).data)
+    pen = float(shared_kl_node(net, state.prior).data)
     full = float(ewc_loss(net, "a", x, y, state).data)
     scaled = float(ewc_loss(net, "a", x, y, state, n_task=10).data)
     assert full == pytest.approx(nll + pen, rel=1e-12)
