@@ -17,7 +17,10 @@ in reverse creation order, keeping each node's pending gradient on the
 node. An op computes a parent's gradient only when that parent requires
 one, so constants such as the input data cost nothing in the backward
 pass. Inside ``with no_grad():`` ops keep no parents and no closures,
-which is how evaluation runs.
+which is how evaluation runs. Inside ``with capture_rows(weights):`` the
+backward of a ``dense`` layer whose weight is watched records the layer
+input x and the gradient g at x @ w + b instead of forming x.T @ g; the
+diagonal Fisher squares those rows into one product per layer.
 """
 
 from __future__ import annotations
@@ -59,6 +62,33 @@ class no_grad:
     def __exit__(self, *exc):
         global _grad_enabled
         _grad_enabled = self._prev
+
+
+_captured = None  # watched weight -> list of (x, g) rows, inside capture_rows
+
+
+class capture_rows:
+    """Context in which ``dense`` keeps per-row gradients of watched weights.
+
+    For each watched weight leaf, every backward pass through its dense
+    layer appends (x, g): the layer input and the gradient at x @ w + b,
+    after the ReLU mask and the FiLM scale. The weight itself gets no
+    gradient; x and the bias get theirs as usual. Since the weight
+    gradient is x.T @ g, its per-example square is (x**2).T @ g**2. Like
+    ``no_grad``, the setting is process-wide and restored on exit.
+    """
+
+    def __init__(self, weights):
+        self.rows = {w: [] for w in weights}
+
+    def __enter__(self):
+        global _captured
+        self._prev, _captured = _captured, self.rows
+        return self.rows
+
+    def __exit__(self, *exc):
+        global _captured
+        _captured = self._prev
 
 
 class Tensor:
@@ -358,9 +388,15 @@ def dense(x, w, b, gamma=None, shift=None, relu=True):
             gs = g.sum(axis=0) if shift.requires_grad else None
             if through:
                 g = g * gd
+        gw = None
+        rows = None if _captured is None else _captured.get(w)
+        if rows is not None:
+            rows.append((xd, g))
+        elif w.requires_grad:
+            gw = xd.T @ g
         grads = (
             g @ wd.T if x.requires_grad else None,
-            xd.T @ g if w.requires_grad else None,
+            gw,
             g.sum(axis=0) if b.requires_grad else None,
         )
         return grads + (gg, gs) if film else grads

@@ -154,7 +154,8 @@ def _verify_checks():
     from . import autodiff as ad
     from .autodiff import Tensor
     from .gaussians import DiagGaussian, film_optimal_scale, kl_diag, kl_lambda, scaled_kl, temper
-    from .objectives import curvature_probe
+    from .nets import Architecture, init_net, split_flat
+    from .objectives import curvature_probe, fisher_diag
 
     rng = np.random.default_rng(0)
 
@@ -201,6 +202,40 @@ def _verify_checks():
         w.data[i, j] += eps
         return abs((up - dn) / (2 * eps) - w.grad[i, j]) < 1e-4
 
+    def fisher_finite_differences():
+        # fisher_diag on a 3-4-2 FiLM MLP against squared per-example NLL
+        # gradients from central differences of a numpy forward
+        r = np.random.default_rng(1)
+        net = init_net(Architecture.mlp(input_dim=3, hidden=(4,)), 0)
+        net.add_task("a", 2, r)
+        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
+        layer.weight_mu.data = r.normal(size=(3, 4))
+        layer.bias_mu.data = r.normal(size=4)
+        fp.gamma.data = r.uniform(0.5, 1.5, size=4)
+        fp.shift.data = r.normal(size=4)
+        x, y = r.normal(size=(3, 3)), np.array([0, 1, 1])
+
+        def nll(i):
+            h = (x[i] @ layer.weight_mu.data + layer.bias_mu.data) * fp.gamma.data
+            z = np.maximum(h + fp.shift.data, 0.0) @ head.weight_mu.data + head.bias_mu.data
+            return np.log(np.exp(z).sum()) - z[y[i]]
+
+        params = net.shared_means()  # w0, b0
+        fisher = split_flat(fisher_diag(net, "a", x, y), params)
+        eps = 1e-5
+        for k, j in ((0, (0, 1)), (0, (2, 3)), (1, (1,)), (1, (2,))):
+            p, want = params[k].data, 0.0
+            for i in range(3):
+                p[j] += eps
+                up = nll(i)
+                p[j] -= 2 * eps
+                dn = nll(i)
+                p[j] += eps
+                want += ((up - dn) / (2 * eps)) ** 2
+            if not (want > 0 and abs(fisher[k][j] - want) <= 1e-6 * want):
+                return False
+        return True
+
     def metric_example():
         r = [[0.9], [0.85, 0.8], [0.82, 0.78, 0.88]]
         return abs(metrics.acc(r) - np.mean(r[2])) < 1e-12 and abs(
@@ -224,6 +259,7 @@ def _verify_checks():
         ("conjugate posterior variance", conjugate_posterior),
         ("film scale optimum vs grid", film_scale_optimum),
         ("autodiff gradient check", gradient_check),
+        ("fisher vs finite differences", fisher_finite_differences),
         ("metric definitions", metric_example),
         ("idx round-trip", idx_roundtrip),
     ]

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .gaussians import clipped_precision as _clipped_prec
-from .nets import split_flat
+from .nets import predict, split_flat
 
 
 @dataclass
@@ -148,7 +148,13 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     One generator, rng or else default_rng(0), draws both the subsample of
     max_samples examples and the model-mode labels. `x` is a float array
     or a `data.Dataset`, whose `rows` scales only the drawn examples.
-    Gradients are cleared from every net tensor on return.
+
+    Each drawn example gets one backward pass under `ad.capture_rows`,
+    which keeps every shared layer's input row x_i and output gradient
+    g_i. Since example i's weight gradient is x_i.T @ g_i, the weight
+    Fisher is one product per layer, (X**2).T @ G**2, and the bias
+    Fisher is the column sum of G**2. The gradients a pass sets (shared
+    biases, the task's FiLM and head) are cleared on return.
     """
     y = np.asarray(y)
     n_total = len(x)
@@ -163,28 +169,33 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
         idx = rng.choice(n_total, max_samples, replace=False)
     xs = x.rows(idx) if hasattr(x, "rows") else np.asarray(x)[idx]
     ys = y[idx]
-    params = net.shared_means()
-    tensors = list(net.named_params().values())
+    params = net.shared_means()  # w0, b0, w1, b1, ...
+    touched = net.trainable_params(task, means_only=True)
+    try:
+        with ad.capture_rows(params[::2]) as captured:
+            for i in range(len(xs)):
+                xi = xs[i : i + 1]
+                yi = ys[i : i + 1]
+                if mode == "model":
+                    probs = predict(net, task, xi, mode="mean")
+                    yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
+                    if net.arch.binary_logit:
+                        yi = yi.astype(y.dtype)
+                for p in touched:
+                    p.grad = None
+                ad.backward(nll_node(net, task, xi, yi, noise=None))
+    finally:
+        for p in touched:
+            p.grad = None
     acc = np.zeros(sum(p.size for p in params))
     views = split_flat(acc, params)
-    for i in range(len(xs)):
-        xi = xs[i : i + 1]
-        yi = ys[i : i + 1]
-        if mode == "model":
-            from .nets import predict
-
-            probs = predict(net, task, xi, mode="mean")
-            yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
-            if net.arch.binary_logit:
-                yi = yi.astype(y.dtype)
-        for p in tensors:
-            p.grad = None
-        ad.backward(nll_node(net, task, xi, yi, noise=None))
-        for p, view in zip(params, views):
-            if p.grad is not None:
-                view += p.grad * p.grad
-    for p in tensors:
-        p.grad = None
+    for w, w_view, b_view in zip(params[::2], views[::2], views[1::2]):
+        x2 = np.concatenate([xr for xr, _ in captured[w]])
+        g2 = np.concatenate([gr for _, gr in captured[w]])
+        x2 *= x2
+        g2 *= g2
+        np.matmul(x2.T, g2, out=w_view)
+        g2.sum(axis=0, out=b_view)
     return acc / len(xs) * n_total
 
 

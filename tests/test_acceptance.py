@@ -141,6 +141,7 @@ def test_criterion_3_curvature_orderings():
 # -- 4. convergence to Online EWC -----------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_ewc_convergence():
     t0 = time.perf_counter()
     rows = toys.ewc_convergence(seeds=(0, 1, 2, 3, 4))
@@ -231,6 +232,7 @@ def test_criterion_6_split_mnist():
 # -- 7. FiLM / pruning property -----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_film_pruning_property():
     t0 = time.perf_counter()
     counts = [toys.active_unit_counts(seed) for seed in range(5)]

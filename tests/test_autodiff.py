@@ -364,3 +364,25 @@ def test_node_with_three_consumers_accumulates():
     loss = ad.add(ad.add(ad.tsum(h), ad.tsum(ad.square(h))), ad.tsum(ad.mul(h, Tensor(c))))
     ad.backward(loss)
     assert np.allclose(x.grad, 2.0 * (1.0 + 2.0 * (2.0 * xd) + c), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("film", [True, False])
+def test_capture_rows_keeps_the_rows_of_the_weight_gradient(film):
+    # a watched weight gets no gradient; its rows rebuild x.T @ g exactly,
+    # and x, the bias and FiLM get the same gradients as without capture
+    arrs = _dense_arrays(13)
+    weights = Tensor(np.random.default_rng(14).normal(size=(6, 5)))
+    grads = []
+    for watch in (False, True):
+        ts = [Tensor(a, requires_grad=True) for a in arrs]
+        gamma, shift = (ts[3], ts[4]) if film else (None, None)
+        with ad.capture_rows([ts[1]] if watch else []) as rows:
+            ad.backward(ad.tsum(ad.mul(ad.dense(ts[0], ts[1], ts[2], gamma, shift), weights)))
+        grads.append([t.grad for t in ts])
+    plain, watched = grads
+    assert watched[1] is None
+    [(x, g)] = rows[ts[1]]
+    assert np.array_equal(x.T @ g, plain[1])
+    for i in (0, 2, 3, 4):
+        assert (plain[i] is None and watched[i] is None) or np.array_equal(plain[i], watched[i])
+    assert ad._captured is None

@@ -6,7 +6,7 @@ import pytest
 from gvcl import autodiff as ad
 from gvcl import objectives as obj
 from gvcl.gaussians import DiagGaussian
-from gvcl.nets import Architecture, init_net
+from gvcl.nets import Architecture, init_net, split_flat
 from gvcl.objectives import (
     GVCLConfig,
     beta_elbo_loss,
@@ -173,9 +173,9 @@ def test_fisher_max_samples_subsets():
 
 
 def concat_fisher(net, task, x, y, mode="empirical", rng=None, max_samples=None):
-    """The per-example Fisher loop that fisher_diag must reproduce bit for bit:
-    the whole float array up front, each example's shared-mean gradients
-    concatenated (zeros where missing) and squared into the total."""
+    """The per-example Fisher loop that fisher_diag must reproduce: the whole
+    float array up front, each example's shared-mean gradients concatenated
+    (zeros where missing) and squared into the total."""
     from gvcl.nets import predict
 
     x, y = np.asarray(x), np.asarray(y)
@@ -209,6 +209,20 @@ def concat_fisher(net, task, x, y, mode="empirical", rng=None, max_samples=None)
     return acc / len(idx) * n_total
 
 
+def assert_fisher_matches(net, got, want):
+    """Bias entries and the zero pattern exactly; weight entries to 1e-12
+    relative, since one product per layer sums the examples in another
+    order than the loop."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got == 0, want == 0)
+    params = net.shared_means()
+    for i, (g, w) in enumerate(zip(split_flat(got, params), split_flat(want, params))):
+        if i % 2:  # w0, b0, w1, b1, ...
+            assert np.array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
 FISHER_NETS = {
     # name: (architecture, FiLM enabled, classes, input shape)
     "mlp_film": (Architecture.mlp(input_dim=12, hidden=(8,)), True, 2, (12,)),
@@ -225,6 +239,9 @@ def fisher_net(name, seed=0):
     net.add_task("a", classes, rng)
     for layer in net.shared:  # nonzero biases, so no ReLU unit is trivially dead
         layer.bias_mu.data = 0.1 * rng.normal(size=layer.bias_mu.shape)
+    for fp in net.film["a"]:  # a FiLM scale the Fisher must carry through
+        fp.gamma.data = rng.uniform(0.5, 1.5, size=fp.gamma.shape)
+        fp.shift.data = 0.1 * rng.normal(size=fp.shift.shape)
     x = rng.normal(size=(14, *shape))
     return net, x, rng.integers(0, classes, size=14)
 
@@ -238,7 +255,7 @@ def test_fisher_bit_equal_to_concatenate_loop(name, mode, max_samples):
                       max_samples=max_samples)
     want = concat_fisher(net, "a", x, y, mode=mode, rng=np.random.default_rng(3),
                          max_samples=max_samples)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert_fisher_matches(net, got, want)
     assert got.max() > 0
 
 
@@ -263,7 +280,7 @@ def test_fisher_scales_only_the_drawn_rows_of_a_dataset():
     drawn = np.random.default_rng(5).choice(len(y), 6, replace=False)
     assert len(ds.read) == 1 and np.array_equal(ds.read[0], drawn)
     want = concat_fisher(net, "a", pixels / 255.0, y, rng=np.random.default_rng(5), max_samples=6)
-    assert np.array_equal(got, want)
+    assert_fisher_matches(net, got, want)
 
 
 def test_fisher_leaves_no_gradients():
@@ -272,6 +289,46 @@ def test_fisher_leaves_no_gradients():
     net, x, y = fisher_net("mlp_film")
     fisher_diag(net, "a", x, y, max_samples=4)
     assert all(t.grad is None for t in net.named_params().values())
+
+
+@pytest.mark.parametrize("mode", ["empirical", "model"])
+@pytest.mark.parametrize("max_samples", [None, 5, 100])
+def test_fisher_makes_one_backward_pass_per_drawn_example(monkeypatch, mode, max_samples):
+    # the benchmark counts autodiff.backward calls inside fisher_diag and
+    # expects min(max_samples, n) of them
+    net, x, y = fisher_net("mlp_film")
+    calls = []
+    backward = ad.backward
+
+    def counted(loss):
+        calls.append(loss)
+        return backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counted)
+    fisher_diag(net, "a", x, y, mode=mode, max_samples=max_samples)
+    assert len(calls) == min(max_samples or len(x), len(x))
+
+
+def test_fisher_capture_leaves_no_state():
+    # after fisher_diag returns, and after it raises mid-loop, dense forms
+    # weight gradients again and no gradient is left on the net
+    def weight_grads(net, x, y):
+        ad.backward(obj.nll_node(net, "a", x, y, noise=None))
+        grads = [layer.weight_mu.grad for layer in net.shared]
+        for t in net.named_params().values():
+            t.grad = None
+        return grads
+
+    net, x, y = fisher_net("mlp_film")
+    want = weight_grads(fisher_net("mlp_film")[0], x, y)
+    fisher_diag(net, "a", x, y, max_samples=4)
+    assert all(np.array_equal(g, w) for g, w in zip(weight_grads(net, x, y), want))
+    bad = x.copy()
+    bad[3] = np.nan
+    with pytest.raises(ad.NonFiniteError):
+        fisher_diag(net, "a", bad, y)
+    assert all(t.grad is None for t in net.named_params().values())
+    assert all(np.array_equal(g, w) for g, w in zip(weight_grads(net, x, y), want))
 
 
 def test_ewc_penalty_precision_follows_replace():
