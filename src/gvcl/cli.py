@@ -123,6 +123,8 @@ TOY_NAMES = ("curvature", "ewc_convergence", "film_scale", "pruning")
 
 
 def cmd_toy(name, out_root):
+    if name not in TOY_NAMES:
+        raise ValueError(f"unknown toy {name!r}; expected one of {TOY_NAMES}")
     os.makedirs(out_root, exist_ok=True)
     path = os.path.join(out_root, f"{name}.csv")
     with open(path, "w", newline="") as f:
@@ -136,13 +138,11 @@ def cmd_toy(name, out_root):
         elif name == "film_scale":
             w.writerow(["instance", "c_analytic", "c_grid", "gap"])
             w.writerows(toys.film_scale_grid())
-        elif name == "pruning":
+        else:
             w.writerow(["seed", "active_with_film", "active_without_film"])
             for seed in range(5):
                 with_f, without_f = toys.active_unit_counts(seed)
                 w.writerow([seed, with_f, without_f])
-        else:
-            raise ValueError(f"unknown toy {name!r}; expected one of {TOY_NAMES}")
     print(f"wrote {path}")
     return 0
 

@@ -4,7 +4,9 @@ The ELBO's KL term is one fused ``diag_gauss_kl`` node over the
 shared-layer parameters, so gradients flow to means and log-variances;
 FiLM and head parameters enter the likelihood only. Both losses hold
 their prior as one flat `NetPrior`: the EWC penalty is the KL against a
-prior without variances, its quadratic term alone.
+prior without variances, its quadratic term alone. That prior is the
+whole Online-EWC state: `ewc_next_prior` rolls it forward after each task
+to (theta*, gamma * prec + lam * F).
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ class GVCLConfig:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        for name, low in (("mc_samples", 1), ("epochs", 1), ("batch_size", 1), ("eval_samples", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.lam < 1:
             warnings.warn(f"lam={self.lam} < 1 is outside the recommended range", stacklevel=2)
 
@@ -118,26 +121,8 @@ def beta_elbo_loss(net, task, x, y, prior: NetPrior, cfg: GVCLConfig, n_task: in
 # -- EWC -------------------------------------------------------------------
 
 
-@dataclass
-class EWCState:
-    fisher_acc: np.ndarray
-    anchor_mu: np.ndarray
-    lam: float = 1.0
-    gamma: float = 1.0
-
-    @cached_property
-    def prior(self) -> NetPrior:
-        """The penalty as a variance-free prior with precision lam * fisher_acc."""
-        return NetPrior(self.anchor_mu, self.lam * self.fisher_acc)
-
-
 def flat_shared_mu(net) -> np.ndarray:
     return np.concatenate([p.data.ravel() for p in net.shared_means()])
-
-
-def fresh_ewc_state(net, lam=1.0, gamma=1.0) -> EWCState:
-    mu = flat_shared_mu(net)
-    return EWCState(np.zeros(mu.size), mu, lam, gamma)
 
 
 def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
@@ -199,31 +184,30 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     return acc / len(xs) * n_total
 
 
-def ewc_loss(net, task, x, y, state: EWCState, n_task=None):
-    """Point-estimate loss: mean NLL at the means plus the anchor penalty.
+def ewc_loss(net, task, x, y, prior: NetPrior, n_task=None):
+    """Point-estimate loss: mean NLL at the means plus the Online-EWC penalty.
 
-    The accumulated curvature is at whole-dataset scale, so when n_task is
-    given the penalty is divided by it to match the per-example NLL.
+    `prior` is variance-free: the penalty is (1/2) sum prec * (mu - prior.mu)**2,
+    with prec the decayed sum of lam-scaled Fishers at whole-dataset scale,
+    so when n_task is given the penalty is divided by it to match the
+    per-example NLL.
     """
     nll = nll_node(net, task, x, y, noise=None)
-    penalty = shared_kl_node(net, state.prior)
+    penalty = shared_kl_node(net, prior)
     if n_task is not None:
         penalty = ad.mul(penalty, Tensor(np.full((), 1.0 / n_task)))
     return ad.add(nll, penalty)
 
 
-def ewc_update_state(state: EWCState, fisher_new: np.ndarray, theta_now: np.ndarray) -> EWCState:
-    if fisher_new.shape != state.fisher_acc.shape or theta_now.shape != state.anchor_mu.shape:
+def ewc_next_prior(prior: NetPrior, fisher_new, theta_now, lam=1.0, gamma=1.0) -> NetPrior:
+    """Online EWC's roll-forward: anchor at theta_now, precision
+    gamma * prior.prec + lam * fisher_new (Schwarz et al. 2018)."""
+    if fisher_new.shape != prior.prec.shape or theta_now.shape != prior.mu.shape:
         raise ValueError("EWC update: shape mismatch")
     if np.any(fisher_new < 0):
         warnings.warn("negative Fisher entries clipped to 0", stacklevel=2)
         fisher_new = np.maximum(fisher_new, 0.0)
-    return EWCState(
-        state.gamma * state.fisher_acc + fisher_new,
-        theta_now.copy(),
-        state.lam,
-        state.gamma,
-    )
+    return NetPrior(theta_now.copy(), gamma * prior.prec + lam * fisher_new)
 
 
 # -- 1-parameter curvature probe ------------------------------------------

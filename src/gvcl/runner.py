@@ -39,6 +39,13 @@ class RunnerConfig:
     ewc_lam: float = 1.0
     ewc_gamma: float = 1.0
 
+    def __post_init__(self):
+        if self.prior0_var <= 0:
+            raise ValueError(f"prior0_var must be positive, got {self.prior0_var}")
+        for name in ("map_epochs", "fisher_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class RunRecord:
@@ -147,9 +154,12 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
     train_rng = np.random.default_rng(train_seed)
     eval_rng = np.random.default_rng(eval_seed)
 
-    prior = obj.initial_prior(net, cfg.prior0_var)
-    # map_sgd is EWC without the penalty
-    state = obj.fresh_ewc_state(net, 0.0 if method == "map_sgd" else cfg.ewc_lam, cfg.ewc_gamma)
+    is_vi = method in VI_METHODS
+    if is_vi:
+        prior = obj.initial_prior(net, cfg.prior0_var)
+    else:  # no penalty until the first Fisher; map_sgd never gets one
+        mu = obj.flat_shared_mu(net)
+        prior = obj.NetPrior(mu, np.zeros(mu.size))
 
     record = RunRecord(
         method=method,
@@ -160,7 +170,6 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
         wall_times=[],
         checkpoints=[],
     )
-    is_vi = method in VI_METHODS
     for t, spec in enumerate(tasks):
         t0 = time.perf_counter()
         task, n = spec.task_id, len(spec.train)
@@ -180,7 +189,7 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
                 fit(
                     params,
                     SGD(params, lr=cfg.map_lr, decay=cfg.map_lr_decay),
-                    lambda x, y: obj.ewc_loss(net, task, x, y, state, n),
+                    lambda x, y: obj.ewc_loss(net, task, x, y, prior, n),
                     spec.train, cfg.map_epochs, gcfg.batch_size, train_rng,
                     val=lambda: _accuracy_point(net, task, spec.val),
                     patience=cfg.patience,
@@ -200,7 +209,9 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
                 rng=train_rng,
                 max_samples=cfg.fisher_samples,
             )
-            state = obj.ewc_update_state(state, fisher, obj.flat_shared_mu(net))
+            prior = obj.ewc_next_prior(
+                prior, fisher, obj.flat_shared_mu(net), cfg.ewc_lam, cfg.ewc_gamma
+            )
         n_eval = gcfg.eval_samples if is_vi else 0
         row, record.confidence, record.correct = evaluate_matrix_row(
             net, tasks[: t + 1], n_eval, eval_rng

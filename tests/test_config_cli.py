@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gvcl.cli import main
+from gvcl.cli import cmd_toy, main
 from gvcl.config import (
     ExperimentConfig,
     _coerce,
@@ -150,6 +150,27 @@ def test_cli_toy_film_scale(tmp_path, capsys):
     assert rows[0] == ["instance", "c_analytic", "c_grid", "gap"]
     assert len(rows) == 101
     assert all(float(r[3]) <= 0.011 for r in rows[1:])
+
+
+def test_cli_toy_unknown_name_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError, match="bogus"):
+        cmd_toy("bogus", str(tmp_path / "toys"))
+    assert not (tmp_path / "toys").exists()
+
+
+def test_config_rejects_bad_counts_where_they_enter():
+    bad = [
+        ("gvcl", "epochs", 0), ("gvcl", "batch_size", 0), ("gvcl", "eval_samples", -1),
+        ("runner", "map_epochs", 0), ("runner", "fisher_samples", 0),
+        ("runner", "prior0_var", 0.0), ("runner", "prior0_var", -1.0),
+    ]
+    for section, name, value in bad:
+        cls = GVCLConfig if section == "gvcl" else RunnerConfig
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+        text = f"[experiment]\nname = 'x'\n[{section}]\n{name} = {value!r}\n"
+        with pytest.raises(ValueError, match=name):
+            from_ini(text)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
