@@ -15,17 +15,19 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import os
 import sys
 import tempfile
 import time
+import traceback
 
 import numpy as np
 
 from . import metrics, toys
 from .config import ExperimentConfig, load_config
 from .data import gen_toy_clusters, load_idx, make_split_tasks, write_idx
-from .runner import run_continual
+from .runner import RunRecord, run_continual
 
 SPLIT_MNIST_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
@@ -66,12 +68,28 @@ def build_tasks(dataset, data_root, data_seed):
 
 
 def _run_cell(args):
+    """Run one method x seed cell and write its record.json.
+
+    An exception from the run does not end the experiment: its traceback
+    goes to stderr, it becomes the record's error, "<Type>: <message>", and
+    the returned flag is set.
+    """
     method, seed, cfg_runner, tasks, cell_dir = args
     os.makedirs(cell_dir, exist_ok=True)
-    record, _ = run_continual(method, tasks, cfg_runner, seed, out_dir=cell_dir)
+    raised = False
+    try:
+        record, _ = run_continual(method, tasks, cfg_runner, seed, out_dir=cell_dir)
+    except Exception as e:
+        traceback.print_exc()
+        raised = True
+        record = RunRecord(
+            method, dataclasses.asdict(cfg_runner), seed, result_matrix=[],
+            task_ids=[t.task_id for t in tasks], wall_times=[], checkpoints=[],
+            error=f"{type(e).__name__}: {e}",
+        )
     with open(os.path.join(cell_dir, "record.json"), "w") as f:
         f.write(record.to_json())
-    return method, seed, record
+    return method, seed, record, raised
 
 
 def cmd_run(config_path, jobs, data_root, out_root):
@@ -93,7 +111,7 @@ def cmd_run(config_path, jobs, data_root, out_root):
     with open(os.path.join(exp_dir, "summary.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "seed", "acc", "bwt", "ece", "error"])
-        for method, seed, record in results:
+        for method, seed, record, _ in results:
             if record.error or not record.result_matrix:
                 w.writerow([method, seed, "", "", "", record.error or "no results"])
                 continue
@@ -110,13 +128,16 @@ def cmd_run(config_path, jobs, data_root, out_root):
     with open(os.path.join(exp_dir, "calibration.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "seed", "bin", "mean_confidence", "accuracy", "count"])
-        for method, seed, record in results:
+        for method, seed, record, _ in results:
             if record.error or not record.result_matrix:
                 continue
             for b, mc, a, n in metrics.calibration_curve(record.confidence, record.correct):
                 w.writerow([method, seed, b, mc, a, n])
     print(f"wrote {len(results)} records under {exp_dir}")
-    return 0
+    raised = [f"{method}/{seed}" for method, seed, _, r in results if r]
+    if raised:
+        print(f"cells that raised: {', '.join(raised)}", file=sys.stderr)
+    return 1 if raised else 0
 
 
 TOY_NAMES = ("curvature", "ewc_convergence", "film_scale", "pruning")

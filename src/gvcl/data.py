@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class Dataset:
 
     stored: np.ndarray  # (N, features): float, or uint8 pixels
     labels: np.ndarray  # integer vector
-    class_names: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.stored) != len(self.labels):
@@ -122,7 +121,7 @@ def write_idx(images, labels, images_path, labels_path):
         f.write(labels.tobytes())
 
 
-def make_split_tasks(train: Dataset, test: Dataset, pairs, val_fraction=0.1, prefix="task"):
+def make_split_tasks(train: Dataset, test: Dataset, pairs, val_fraction=0.1):
     """Binary tasks from class pairs; labels map class_a -> 0, class_b -> 1.
 
     Each pair's examples are copied once per source set; the pair's train
@@ -139,11 +138,9 @@ def make_split_tasks(train: Dataset, test: Dataset, pairs, val_fraction=0.1, pre
             y = (split.labels[mask] == b).astype(np.int64)
             task.append((split.stored[mask], y))
         (x, y), (x_te, y_te) = task
-        names = [str(a), str(b)]
         n_tr = len(y) - max(1, int(len(y) * val_fraction))
-        tr = Dataset(x[:n_tr], y[:n_tr], names)
-        val = Dataset(x[n_tr:], y[n_tr:], names)
-        tasks.append(TaskSpec(f"{prefix}{i}_{a}v{b}", tr, val, Dataset(x_te, y_te, names), 2))
+        tr, val = Dataset(x[:n_tr], y[:n_tr]), Dataset(x[n_tr:], y[n_tr:])
+        tasks.append(TaskSpec(f"task{i}_{a}v{b}", tr, val, Dataset(x_te, y_te), 2))
     return tasks
 
 

@@ -19,37 +19,27 @@ INIT_LOGVAR = np.log(1e-6)  # every mean-field tensor starts at variance 1e-6
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """One shared dense layer: (fan_in, fan_out), and whether it has FiLM."""
-
-    dims: tuple
-    film: bool = False
-
-
-@dataclass(frozen=True)
 class Architecture:
-    """Shared dense layer stack plus head geometry."""
+    """Shared dense layer stack plus head geometry.
+
+    `layers` holds one (fan_in, fan_out) pair per shared layer. A net with
+    heads (`head_in` > 0) has a FiLM layer after every shared layer; with
+    `head_in` 0 the last shared layer is a single sigmoid logit, no FiLM.
+    """
 
     name: str
     layers: tuple
     head_in: int  # features entering a task head; 0 means no heads
-    binary_logit: bool = False  # single-logit sigmoid model (no heads)
 
     @staticmethod
     def mlp(input_dim=784, hidden=(256, 256)):
-        layers = []
-        fan_in = input_dim
-        for h in hidden:
-            layers.append(LayerSpec((fan_in, h), film=True))
-            fan_in = h
-        return Architecture("mlp", tuple(layers), head_in=fan_in)
+        dims = (input_dim, *hidden)
+        return Architecture("mlp", tuple(zip(dims, dims[1:])), head_in=dims[-1])
 
     @staticmethod
     def logistic(input_dim=2):
         # single shared logit, shared across tasks; no heads, no FiLM
-        return Architecture(
-            "logistic", (LayerSpec((input_dim, 1)),), head_in=0, binary_logit=True
-        )
+        return Architecture("logistic", ((input_dim, 1),), head_in=0)
 
 
 class MeanFieldLayer:
@@ -98,7 +88,7 @@ class FiLMParams:
 class VariationalNet:
     def __init__(self, arch: Architecture, rng):
         self.arch = arch
-        self.shared = [MeanFieldLayer(*spec.dims, rng) for spec in arch.layers]
+        self.shared = [MeanFieldLayer(*dims, rng) for dims in arch.layers]
         self.film = {}
         self.heads = {}
         self.film_enabled = True
@@ -111,36 +101,28 @@ class VariationalNet:
             raise ValueError(f"task {task!r} already present")
         if self.arch.head_in:
             self.heads[task] = MeanFieldLayer(self.arch.head_in, classes, rng)
-        self.film[task] = [FiLMParams(spec.dims[1]) for spec in self.arch.layers if spec.film]
-
-    def has_task(self, task):
-        return task in self.film
+        self.film[task] = [FiLMParams(d) for _, d in self.arch.layers] if self.arch.head_in else []
 
     # -- forward -----------------------------------------------------------
 
     def forward_sample(self, task, x, noise=None):
         """Logits for a batch; noise is a `sample_noise` list, or None for the means."""
-        if not self.has_task(task):
+        if task not in self.film:
             raise KeyError(f"unknown task id {task!r}")
         h = x if isinstance(x, Tensor) else Tensor(x)
-        film = iter(self.film[task])
+        film = self.film[task] if self.film_enabled else []
         noise = None if noise is None else iter(noise)
-        for i, (spec, layer) in enumerate(zip(self.arch.layers, self.shared)):
+        last = len(self.shared) - 1
+        for i, layer in enumerate(self.shared):
             w, b = layer.sample(noise)
-            gamma = shift = None
-            fp = next(film) if spec.film else None
-            if fp is not None and self.film_enabled:
-                gamma, shift = fp.gamma, fp.shift
-            h = ad.dense(h, w, b, gamma, shift, relu=not self._is_output(i))
+            gamma, shift = (film[i].gamma, film[i].shift) if film else (None, None)
+            # the shared stack is all hidden (ReLU) unless there are no heads
+            h = ad.dense(h, w, b, gamma, shift, relu=bool(self.arch.head_in) or i < last)
         if self.arch.head_in:
             head = self.heads[task]
             w, b = head.sample(noise)
             h = ad.dense(h, w, b, relu=False)
         return h
-
-    def _is_output(self, i):
-        # the shared stack is all hidden (ReLU) unless there are no heads
-        return self.arch.head_in == 0 and i == len(self.shared) - 1
 
     # -- noise -------------------------------------------------------------
 
@@ -159,14 +141,6 @@ class VariationalNet:
     def shared_logvars(self):
         """The matching log-variance tensors, in the same order."""
         return [p for l in self.shared for p in (l.weight_logvar, l.bias_logvar)]
-
-    def task_params(self, task):
-        out = []
-        for fp in self.film[task]:
-            out.extend([fp.gamma, fp.shift])
-        if self.arch.head_in:
-            out.extend(self.heads[task].variational_params())
-        return out
 
     def trainable_params(self, task, means_only=False):
         """The tensors trained for `task`, the one rule every method uses.
@@ -217,33 +191,30 @@ def init_net(arch: Architecture, seed: int) -> VariationalNet:
     return VariationalNet(arch, np.random.default_rng(seed))
 
 
-def predict(net, task, x, num_samples=1, mode="sampled", rng=None):
-    """Class probabilities averaged over posterior samples (softmax per draw).
+def predict(net, task, x, num_samples, rng=None):
+    """Class probabilities for a batch: one pass at the posterior means when
+    `num_samples` is 0, else the average over that many posterior draws
+    from `rng` (softmax per draw).
 
     The forward passes run under ``no_grad``: they record no graph.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    if mode not in ("sampled", "mean"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "mean":
-        with ad.no_grad():
-            logits = net.forward_sample(task, x, noise=None).data
-        return _probs(logits, net.arch.binary_logit)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
+    if num_samples and rng is None:
+        raise ValueError("posterior draws need an rng")
+    binary, draws = net.arch.head_in == 0, max(num_samples, 1)
     acc = None
-    for _ in range(num_samples):
-        noise = net.sample_noise(task, rng)
+    for _ in range(draws):
+        noise = net.sample_noise(task, rng) if num_samples else None
         with ad.no_grad():
             logits = net.forward_sample(task, x, noise=noise).data
-        p = _probs(logits, net.arch.binary_logit)
+        p = _probs(logits, binary)
         acc = p if acc is None else acc + p
-    return acc / num_samples
+    return acc / draws
 
 
-def _probs(logits, binary_logit):
-    if binary_logit:
+def _probs(logits, binary):
+    if binary:
         p1 = 1.0 / (1.0 + np.exp(-logits[:, 0]))
         return np.stack([1.0 - p1, p1], axis=1)
     z = logits - logits.max(axis=1, keepdims=True)

@@ -11,6 +11,9 @@ to (theta*, gamma * prec + lam * F).
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +23,21 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .gaussians import clipped_precision as _clipped_prec
-from .nets import predict, split_flat
+from .nets import split_flat
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def check_fields(cfg, rules):
+    """Raise ValueError, naming the field, when a float field of the
+    dataclass `cfg` is not finite or a (field, op, bound) rule fails."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name, op, bound in rules:
+        if not _COMPARE[op](getattr(cfg, name), bound):
+            raise ValueError(f"{name} must be {op} {bound}, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -34,11 +51,10 @@ class GVCLConfig:
     eval_samples: int = 100
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        for name, low in (("mc_samples", 1), ("epochs", 1), ("batch_size", 1), ("eval_samples", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self, (
+            ("beta", ">", 0), ("lr", ">", 0), ("mc_samples", ">=", 1), ("epochs", ">=", 1),
+            ("batch_size", ">=", 1), ("eval_samples", ">=", 0),
+        ))
         if self.lam < 1:
             warnings.warn(f"lam={self.lam} < 1 is outside the recommended range", stacklevel=2)
 
@@ -98,7 +114,7 @@ def shared_kl_node(net, prior: NetPrior):
 def nll_node(net, task, x, y, noise):
     """Mean negative log-likelihood of a batch under one sampled network."""
     logits = net.forward_sample(task, x, noise=noise)
-    if net.arch.binary_logit:
+    if net.arch.head_in == 0:  # the single sigmoid logit
         return ad.tmean(ad.sigmoid_cross_entropy(logits, y))
     return ad.tmean(ad.softmax_cross_entropy(logits, y))
 
@@ -126,13 +142,13 @@ def flat_shared_mu(net) -> np.ndarray:
 
 
 def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
-    """Diagonal empirical/model Fisher at the current means, scaled by N.
+    """Diagonal empirical Fisher at the current means, scaled by N.
 
-    empirical: squared gradients at observed labels, averaged then scaled
-    by the dataset size; model: labels drawn from the net's predictive.
-    One generator, rng or else default_rng(0), draws both the subsample of
-    max_samples examples and the model-mode labels. `x` is a float array
-    or a `data.Dataset`, whose `rows` scales only the drawn examples.
+    The squared gradients at the observed labels, averaged then scaled by
+    the dataset size; `mode` admits only "empirical". rng, or else
+    default_rng(0), draws the subsample of max_samples examples. `x` is a
+    float array or a `data.Dataset`, whose `rows` scales only the drawn
+    examples.
 
     Each drawn example gets one backward pass under `ad.capture_rows`,
     which keeps every shared layer's input row x_i and output gradient
@@ -145,8 +161,8 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     n_total = len(x)
     if n_total == 0:
         raise ValueError("fisher_diag: empty dataset")
-    if mode not in ("empirical", "model"):
-        raise ValueError(f"unknown fisher mode {mode!r}")
+    if mode != "empirical":
+        raise ValueError(f"unknown fisher mode {mode!r}; only 'empirical' is computed")
     if rng is None:
         rng = np.random.default_rng(0)
     idx = slice(None)
@@ -159,16 +175,9 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     try:
         with ad.capture_rows(params[::2]) as captured:
             for i in range(len(xs)):
-                xi = xs[i : i + 1]
-                yi = ys[i : i + 1]
-                if mode == "model":
-                    probs = predict(net, task, xi, mode="mean")
-                    yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
-                    if net.arch.binary_logit:
-                        yi = yi.astype(y.dtype)
                 for p in touched:
                     p.grad = None
-                ad.backward(nll_node(net, task, xi, yi, noise=None))
+                ad.backward(nll_node(net, task, xs[i : i + 1], ys[i : i + 1], noise=None))
     finally:
         for p in touched:
             p.grad = None
@@ -213,6 +222,7 @@ def ewc_next_prior(prior: NetPrior, fisher_new, theta_now, lam=1.0, gamma=1.0) -
 # -- 1-parameter curvature probe ------------------------------------------
 
 _TOY_SIGMA0_SQ = 30.0
+_TOY_N_POINTS = 1000  # draws x ~ N(0, 1) that the probe fits
 
 
 def _toy_f(which):
@@ -238,7 +248,7 @@ def _toy_f(which):
     return f, df
 
 
-def curvature_probe(beta, toy, seed, n_points=1000):
+def curvature_probe(beta, toy, seed):
     """Effective curvature variance from tempered VI on the 1-parameter model.
 
     Fits q = N(mu, s2) to the generative model x ~ N(f(theta), 30) by
@@ -250,10 +260,10 @@ def curvature_probe(beta, toy, seed, n_points=1000):
 
     f, df = _toy_f(toy)
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal(n_points)
+    n = _TOY_N_POINTS
+    data = rng.standard_normal(n)
     s1 = data.sum()
     s2 = (data**2).sum()
-    n = n_points
     nodes, weights = np.polynomial.hermite_e.hermegauss(61)
     weights = weights / weights.sum()
 

@@ -40,11 +40,11 @@ class RunnerConfig:
     ewc_gamma: float = 1.0
 
     def __post_init__(self):
-        if self.prior0_var <= 0:
-            raise ValueError(f"prior0_var must be positive, got {self.prior0_var}")
-        for name in ("map_epochs", "fisher_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        obj.check_fields(self, (
+            ("prior0_var", ">", 0), ("map_lr", ">", 0), ("map_lr_decay", ">", 0),
+            ("map_lr_decay", "<=", 1), ("map_epochs", ">=", 1), ("patience", ">=", 1),
+            ("fisher_samples", ">=", 1), ("ewc_lam", ">=", 0), ("ewc_gamma", ">=", 0),
+        ))
 
 
 @dataclass
@@ -111,7 +111,7 @@ def fit(params, optimizer, loss, train, epochs, batch_size, rng, val=None, patie
 
 
 def _accuracy_point(net, task, ds):
-    probs = predict(net, task, ds.inputs, mode="mean")
+    probs = predict(net, task, ds.inputs, 0)
     return float((probs.argmax(axis=1) == ds.labels).mean())
 
 
@@ -123,12 +123,7 @@ def evaluate_matrix_row(net, tasks_seen, num_samples, rng):
     """
     row, confidence, correct = [], [], []
     for spec in tasks_seen:
-        if num_samples == 0:
-            probs = predict(net, spec.task_id, spec.test.inputs, mode="mean")
-        else:
-            probs = predict(
-                net, spec.task_id, spec.test.inputs, num_samples=num_samples, rng=rng
-            )
+        probs = predict(net, spec.task_id, spec.test.inputs, num_samples, rng)
         hit = (probs.argmax(axis=1) == spec.test.labels).astype(np.float64)
         row.append(float(hit.mean()))
         confidence.append(probs.max(axis=1))
@@ -201,13 +196,8 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
             prior = obj.posterior_to_prior(net, cfg.prior0_var, gcfg.lam)
         elif method != "map_sgd":
             fisher = obj.fisher_diag(
-                net,
-                spec.task_id,
-                spec.train,
-                spec.train.labels,
-                mode="empirical",
-                rng=train_rng,
-                max_samples=cfg.fisher_samples,
+                net, task, spec.train, spec.train.labels,
+                rng=train_rng, max_samples=cfg.fisher_samples,
             )
             prior = obj.ewc_next_prior(
                 prior, fisher, obj.flat_shared_mu(net), cfg.ewc_lam, cfg.ewc_gamma

@@ -251,7 +251,8 @@ def test_criterion_7_film_pruning_property():
     net.film_enabled = True
 
     before = net.forward_sample("a", x).data.copy()
-    for t in net.task_params("b"):
+    owned = [t for fp in net.film["b"] for t in (fp.gamma, fp.shift)]
+    for t in owned + net.heads["b"].variational_params():  # task b's FiLM and head
         t.data = t.data + 1.0
     isolation_ok = np.array_equal(before, net.forward_sample("a", x).data)
 

@@ -15,7 +15,7 @@ from gvcl.config import (
     to_ini,
 )
 from gvcl.objectives import GVCLConfig
-from gvcl.runner import RunnerConfig
+from gvcl.runner import RunnerConfig, RunRecord
 
 
 def rich_config():
@@ -163,6 +163,13 @@ def test_config_rejects_bad_counts_where_they_enter():
         ("gvcl", "epochs", 0), ("gvcl", "batch_size", 0), ("gvcl", "eval_samples", -1),
         ("runner", "map_epochs", 0), ("runner", "fisher_samples", 0),
         ("runner", "prior0_var", 0.0), ("runner", "prior0_var", -1.0),
+        # every float is finite, and rates, variances and decays are in range
+        ("gvcl", "beta", float("nan")), ("gvcl", "lam", float("inf")), ("gvcl", "lr", -0.01),
+        ("gvcl", "lr", 0.0), ("runner", "prior0_var", float("nan")),
+        ("runner", "map_lr", -0.5), ("runner", "map_lr", float("inf")),
+        ("runner", "map_lr_decay", 0.0), ("runner", "map_lr_decay", 1.5),
+        ("runner", "patience", 0), ("runner", "ewc_lam", -5.0),
+        ("runner", "ewc_lam", float("nan")), ("runner", "ewc_gamma", -0.1),
     ]
     for section, name, value in bad:
         cls = GVCLConfig if section == "gvcl" else RunnerConfig
@@ -173,9 +180,8 @@ def test_config_rejects_bad_counts_where_they_enter():
             from_ini(text)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_run_toy_clusters(tmp_path, jobs):
-    cfg = ExperimentConfig(
+def smoke_config():
+    return ExperimentConfig(
         name="smoke",
         dataset="toy_clusters",
         methods=("gvcl", "map_sgd"),
@@ -187,8 +193,12 @@ def test_cli_run_toy_clusters(tmp_path, jobs):
             fisher_samples=10,
         ),
     )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_run_toy_clusters(tmp_path, jobs):
     ini = tmp_path / "smoke.ini"
-    save_config(cfg, ini)
+    save_config(smoke_config(), ini)
     out = tmp_path / "runs"
     assert main(["run", str(ini), "--jobs", str(jobs), "--out", str(out)]) == 0
 
@@ -206,6 +216,36 @@ def test_cli_run_toy_clusters(tmp_path, jobs):
         cal = list(csv.reader(f))
     assert cal[0][0] == "method"
     assert len(cal) > 1
+
+
+def test_cli_run_records_a_raising_cell_and_finishes_the_rest(tmp_path, monkeypatch, capsys):
+    from gvcl import cli
+
+    run = cli.run_continual
+
+    def raise_for_map_sgd(method, *args, **kwargs):
+        if method == "map_sgd":
+            raise RuntimeError("boom")
+        return run(method, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_continual", raise_for_map_sgd)
+    ini = tmp_path / "smoke.ini"
+    save_config(smoke_config(), ini)
+    out = tmp_path / "runs"
+    assert main(["run", str(ini), "--jobs", "1", "--out", str(out)]) == 1
+    assert "map_sgd/0" in capsys.readouterr().err
+
+    exp = out / "smoke"
+    failed = RunRecord.from_json((exp / "map_sgd" / "0" / "record.json").read_text())
+    assert failed.error == "RuntimeError: boom" and failed.result_matrix == []
+    done = RunRecord.from_json((exp / "gvcl" / "0" / "record.json").read_text())
+    assert done.error == "" and len(done.result_matrix) == 2
+    with open(exp / "summary.csv") as f:
+        rows = {r["method"]: r for r in csv.DictReader(f)}
+    assert rows["map_sgd"]["error"] == "RuntimeError: boom" and rows["map_sgd"]["acc"] == ""
+    assert rows["gvcl"]["error"] == "" and 0.0 <= float(rows["gvcl"]["acc"]) <= 1.0
+    with open(exp / "calibration.csv") as f:
+        assert {r["method"] for r in csv.DictReader(f)} == {"gvcl"}
 
 
 def test_cli_run_split_mnist_needs_data_root(tmp_path):
@@ -240,8 +280,8 @@ def test_point_method_ece_scores_mean_predictions(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_continual", keep_net)
     for method in ("ewc", "map_sgd"):
-        _, _, record = cli._run_cell((method, 0, cfg.runner, tasks, str(tmp_path / method)))
-        probs = [predict(nets[-1], t.task_id, t.test.inputs, mode="mean") for t in tasks]
+        _, _, record, _ = cli._run_cell((method, 0, cfg.runner, tasks, str(tmp_path / method)))
+        probs = [predict(nets[-1], t.task_id, t.test.inputs, 0) for t in tasks]
         assert np.array_equal(record.confidence, np.concatenate([p.max(axis=1) for p in probs]))
         want = [(p.argmax(axis=1) == t.test.labels).astype(float) for p, t in zip(probs, tasks)]
         assert np.array_equal(record.correct, np.concatenate(want))

@@ -126,13 +126,13 @@ def test_make_split_tasks_mapping_and_splits():
 def test_make_split_tasks_train_and_val_view_one_copy(tmp_path):
     images, labels, ip, lp = fixture_pair(tmp_path, n=60, seed=4)
     train = load_idx(ip, lp)
-    for t in make_split_tasks(train, train, [(0, 1), (2, 3)], val_fraction=0.2):
+    pairs = [(0, 1), (2, 3)]
+    for t, (a, b) in zip(make_split_tasks(train, train, pairs, val_fraction=0.2), pairs):
         assert t.train.stored.dtype == np.uint8
         pair = t.train.stored.base
         assert pair is not None and t.val.stored.base is pair
         assert np.shares_memory(t.train.stored, pair) and np.shares_memory(t.val.stored, pair)
         assert not np.shares_memory(t.train.stored, train.stored)
-        a, b = (int(c) for c in t.train.class_names)
         mask = (labels == a) | (labels == b)
         both = np.concatenate([t.train.inputs, t.val.inputs])
         assert both.tobytes() == (images.reshape(60, -1)[mask].astype(np.float64) / 255.0).tobytes()

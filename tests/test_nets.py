@@ -45,8 +45,11 @@ def test_task_isolation_is_bitwise():
     net = small_net()
     x = np.random.default_rng(3).normal(size=(5, 3))
     before = net.forward_sample("a", x).data.copy()
-    # perturb every parameter owned by task b
-    for t in net.task_params("b"):
+    # perturb every parameter owned by task b: its FiLM layers and its head
+    owned = [t for fp in net.film["b"] for t in (fp.gamma, fp.shift)]
+    owned += net.heads["b"].variational_params()
+    assert len(owned) == 8
+    for t in owned:
         t.data = t.data + 0.5
     after = net.forward_sample("a", x).data
     assert np.array_equal(before, after)
@@ -141,8 +144,8 @@ def _kl_to_std_normal(q):
 def test_predict_rows_sum_to_one():
     net = small_net(seed=10)
     x = np.random.default_rng(11).normal(size=(9, 3))
-    for mode, ns in (("mean", 1), ("sampled", 5)):
-        probs = predict(net, "a", x, num_samples=ns, mode=mode, rng=np.random.default_rng(0))
+    for ns in (0, 5):  # the means, then an average over draws
+        probs = predict(net, "a", x, num_samples=ns, rng=np.random.default_rng(0))
         assert probs.shape == (9, 4)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
@@ -177,7 +180,7 @@ def test_predict_records_no_graph(monkeypatch):
 
     monkeypatch.setattr(net, "forward_sample", spy)
     predict(net, "a", x, num_samples=2, rng=np.random.default_rng(0))
-    predict(net, "b", x, mode="mean")
+    predict(net, "b", x, 0)
     assert len(logits) == 3
     for out in logits:
         assert not out.requires_grad and out._parents == () and out._backward is None
@@ -299,6 +302,7 @@ def test_forward_unknown_task_raises():
 def test_predict_validation():
     net = small_net()
     with pytest.raises(ValueError):
-        predict(net, "a", np.zeros((1, 3)), num_samples=0)
-    with pytest.raises(ValueError):
-        predict(net, "a", np.zeros((1, 3)), mode="bogus")
+        predict(net, "a", np.zeros((1, 3)), num_samples=-1)
+    for ns in (1, 3):  # posterior draws need an rng
+        with pytest.raises(ValueError, match="rng"):
+            predict(net, "a", np.zeros((1, 3)), num_samples=ns)

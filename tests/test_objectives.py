@@ -160,8 +160,9 @@ def test_fisher_validation():
     with pytest.raises(ValueError):
         fisher_diag(net, "a", np.zeros((0, 3)), np.zeros(0, dtype=int))
     x, y = batch()
-    with pytest.raises(ValueError):
-        fisher_diag(net, "a", x, y, mode="bogus")
+    for mode in ("bogus", "model"):  # only the empirical Fisher is computed
+        with pytest.raises(ValueError, match="fisher mode"):
+            fisher_diag(net, "a", x, y, mode=mode)
 
 
 def test_fisher_max_samples_subsets():
@@ -172,12 +173,10 @@ def test_fisher_max_samples_subsets():
     assert np.all(f >= 0)
 
 
-def concat_fisher(net, task, x, y, mode="empirical", rng=None, max_samples=None):
+def concat_fisher(net, task, x, y, rng=None, max_samples=None):
     """The per-example Fisher loop that fisher_diag must reproduce: the whole
     float array up front, each example's shared-mean gradients concatenated
     (zeros where missing) and squared into the total."""
-    from gvcl.nets import predict
-
     x, y = np.asarray(x), np.asarray(y)
     n_total = x.shape[0]
     rng = np.random.default_rng(0) if rng is None else rng
@@ -188,11 +187,6 @@ def concat_fisher(net, task, x, y, mode="empirical", rng=None, max_samples=None)
     acc = np.zeros(sum(p.size for p in params))
     for i in idx:
         xi, yi = x[i : i + 1], y[i : i + 1]
-        if mode == "model":
-            probs = predict(net, task, xi, mode="mean")
-            yi = np.array([rng.choice(len(probs[0]), p=probs[0])])
-            if net.arch.binary_logit:
-                yi = yi.astype(y.dtype)
         for p in params:
             p.grad = None
         ad.backward(obj.nll_node(net, task, xi, yi, noise=None))
@@ -247,13 +241,13 @@ def fisher_net(name, seed=0):
 
 
 @pytest.mark.parametrize("name", sorted(FISHER_NETS))
-@pytest.mark.parametrize("mode", ["empirical", "model"])
+@pytest.mark.parametrize("mode", ["empirical"])
 @pytest.mark.parametrize("max_samples", [None, 5])
 def test_fisher_bit_equal_to_concatenate_loop(name, mode, max_samples):
     net, x, y = fisher_net(name)
     got = fisher_diag(net, "a", x, y, mode=mode, rng=np.random.default_rng(3),
                       max_samples=max_samples)
-    want = concat_fisher(net, "a", x, y, mode=mode, rng=np.random.default_rng(3),
+    want = concat_fisher(net, "a", x, y, rng=np.random.default_rng(3),
                          max_samples=max_samples)
     assert_fisher_matches(net, got, want)
     assert got.max() > 0
@@ -291,7 +285,7 @@ def test_fisher_leaves_no_gradients():
     assert all(t.grad is None for t in net.named_params().values())
 
 
-@pytest.mark.parametrize("mode", ["empirical", "model"])
+@pytest.mark.parametrize("mode", ["empirical"])
 @pytest.mark.parametrize("max_samples", [None, 5, 100])
 def test_fisher_makes_one_backward_pass_per_drawn_example(monkeypatch, mode, max_samples):
     # the benchmark counts autodiff.backward calls inside fisher_diag and
@@ -437,26 +431,25 @@ def test_binary_nll_matches_closed_form():
 
 
 def test_fisher_model_mode_draws_labels_from_one_generator(monkeypatch):
-    # rng=None means one default_rng(0) per call: the subsample and every
-    # sampled label come from the same stream, not a fresh seed per example
+    # rng=None means one default_rng(0) per call, and it draws the subsample
     net = tiny_net(seed=13)
     x, y = batch(seed=14, n=12)
-    drawn = []
+    rows = []
     nll = obj.nll_node
 
     def spy(net, task, xi, yi, noise):
-        drawn.append(int(yi[0]))
+        rows.append(xi.copy())
         return nll(net, task, xi, yi, noise)
 
     monkeypatch.setattr(obj, "nll_node", spy)
-    f_default = fisher_diag(net, "a", x, y, mode="model", max_samples=10)
-    labels_default = drawn[:]
-    drawn.clear()
-    f_seeded = fisher_diag(net, "a", x, y, mode="model", max_samples=10,
-                           rng=np.random.default_rng(0))
-    assert labels_default == drawn
+    f_default = fisher_diag(net, "a", x, y, max_samples=10)
+    rows_default = np.concatenate(rows)
+    rows.clear()
+    f_seeded = fisher_diag(net, "a", x, y, max_samples=10, rng=np.random.default_rng(0))
     assert np.array_equal(f_default, f_seeded)
-    assert len(set(labels_default)) > 1
+    assert np.array_equal(rows_default, np.concatenate(rows))
+    want = x[np.random.default_rng(0).choice(len(x), 10, replace=False)]
+    assert np.array_equal(rows_default, want)
 
 
 def _op_nodes(loss):
@@ -487,7 +480,7 @@ def test_elbo_graph_stays_fused(arch, limit):
     rng = np.random.default_rng(1)
     net.add_task("a", 3, rng)
     prior = posterior_to_prior(net, 1.0, lam=2.0)
-    n_in = arch.layers[0].dims[0]
+    n_in = arch.layers[0][0]
     x = rng.normal(size=(5, n_in))
     y = rng.integers(0, 3 if arch.head_in else 2, size=5)
     loss = beta_elbo_loss(net, "a", x, y, prior, GVCLConfig(beta=0.5), 5, rng)

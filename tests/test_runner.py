@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -161,3 +163,19 @@ def test_sgd_rate_decays_once_per_epoch(k):
     fit([w], opt, loss, train, k, 4, np.random.default_rng(k))
     assert len(calls) == 3 * k  # three steps per epoch, one decay
     assert opt.lr == pytest.approx(0.05 * 0.9**k, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["gvcl", "ewc"])
+def test_divergence_is_recorded_and_stops_the_run(tmp_path, toy_tasks, method):
+    # a NaN in the second task's training rows makes its first epoch diverge
+    first, second = toy_tasks
+    stored = second.train.stored.copy()
+    stored[0, 0] = np.nan
+    bad = dataclasses.replace(second, train=Dataset(stored, second.train.labels))
+    third = dataclasses.replace(first, task_id="task3")
+    rec, net = run_continual(method, [first, bad, third], quick_cfg(), seed=8, out_dir=str(tmp_path))
+    assert rec.error.startswith(f"divergence during task {second.task_id}")
+    assert len(rec.result_matrix) == 1 and len(rec.wall_times) == 1
+    assert len(rec.checkpoints) == 1 and sorted(os.listdir(tmp_path)) == ["ckpt_0.npz"]
+    with pytest.raises(KeyError):  # the run stopped: the third task was never added
+        net.forward_sample("task3", first.test.inputs)
