@@ -5,10 +5,11 @@ terms on 2-D (batch, features) data: add (with a bias broadcast), mul,
 matmul, relu/log/exp/square, sum/mean reductions, and softmax and
 sigmoid cross-entropy. Fused ops each build one node with a closed-form
 backward: ``dense`` (a whole dense layer, relu((x @ w + b) * gamma +
-shift), with the FiLM scale-shift and the ReLU optional), ``reparam``
-(the draw mu + exp(logvar / 2) * eps), ``diag_gauss_kl`` (the clipped
-diagonal-Gaussian KL over many tensors, or its quadratic term alone, the
-Online-EWC penalty) and ``sigmoid_cross_entropy``.
+shift), with the FiLM scale-shift and the ReLU optional, at the means or
+at the reparameterized draw w + exp(w_logvar / 2) * eps, b likewise),
+``diag_gauss_kl`` (the clipped diagonal-Gaussian KL over many tensors,
+or its quadratic term alone, the Online-EWC penalty, times a constant
+scale) and ``sigmoid_cross_entropy``.
 
 All data is float64. Tensors are immutable values, numbered in creation
 order; an op's result links to its parents, so creation order is a
@@ -71,11 +72,12 @@ class capture_rows:
     """Context in which ``dense`` keeps per-row gradients of watched weights.
 
     For each watched weight leaf, every backward pass through its dense
-    layer appends (x, g): the layer input and the gradient at x @ w + b,
-    after the ReLU mask and the FiLM scale. The weight itself gets no
-    gradient; x and the bias get theirs as usual. Since the weight
-    gradient is x.T @ g, its per-example square is (x**2).T @ g**2. Like
-    ``no_grad``, the setting is process-wide and restored on exit.
+    layer at the means (no draw) appends (x, g): the layer input and the
+    gradient at x @ w + b, after the ReLU mask and the FiLM scale. The
+    weight itself gets no gradient; x and the bias get theirs as usual.
+    Since the weight gradient is x.T @ g, its per-example square is
+    (x**2).T @ g**2. Like ``no_grad``, the setting is process-wide and
+    restored on exit.
     """
 
     def __init__(self, weights):
@@ -222,7 +224,7 @@ def tmean(a):
         "mean",
         np.asarray(a.data.mean()),
         (a,),
-        lambda g: (np.broadcast_to(g / n, shape).copy(),),
+        lambda g: (np.full(shape, g / n),),
     )
 
 
@@ -280,64 +282,40 @@ def sigmoid_cross_entropy(logits, labels):
 # -- fused Gaussian ops ----------------------------------------------------
 
 
-def reparam(mu, logvar, eps):
-    """Reparameterized draw mu + exp(logvar / 2) * eps as one node.
-
-    Forward and backward repeat the numpy work of the chain
-    add(mu, mul(exp(mul(logvar, 0.5)), eps)) in its order, so both are
-    bit-identical to it.
-    """
-    eps = np.asarray(eps, dtype=np.float64)
-    if logvar.shape != mu.shape or eps.shape != mu.shape:
-        raise ShapeError(
-            f"reparam: mu {mu.shape}, logvar {logvar.shape} and eps {eps.shape} differ"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = np.exp(logvar.data * 0.5)
-        out = mu.data + std * eps
-
-    def back(g):
-        return g, (((g * eps) * std) * 0.5 if logvar.requires_grad else None)
-
-    return Tensor._result("reparam", out, (mu, logvar), back)
-
-
-def diag_gauss_kl(terms, const=0.0):
-    """Sum of diagonal-Gaussian KL terms over many tensors, as one scalar node.
+def diag_gauss_kl(terms, const=0.0, scale=1.0):
+    """Sum of diagonal-Gaussian KL terms over many tensors, times `scale`, as one scalar node.
 
     Each term is (mu, logvar, m, prec, inv_var): q = N(mu, exp(logvar))
     against a prior with mean m and variance 1 / inv_var whose quadratic
     term uses the precision prec (the lambda-tilde clipped one for GVCL).
-    The value is
+    Every array has mu's shape (`NetPrior.views` checks that once). The value is
 
-        1/2 * (sum[prec (mu - m)^2 + exp(logvar) inv_var - logvar] + const)
+        scale * 1/2 * (sum[prec (mu - m)^2 + exp(logvar) inv_var - logvar] + const)
 
     where const carries the q-independent sum(log v - 1). A term with
     logvar None contributes its quadratic part only; the Online-EWC
-    penalty is that form. Gradients: prec (mu - m) for mu and
-    (exp(logvar) inv_var - 1) / 2 for logvar.
+    penalty is that form. Gradients: scale * prec (mu - m) for mu and
+    scale * (exp(logvar) inv_var - 1) / 2 for logvar, bit-identical to
+    a `mul` by the constant `scale` after the node.
     """
     parents, saved = [], []
     total = 0.0
-    for mu, logvar, m, prec, inv_var in terms:
-        if not np.shape(m) == np.shape(prec) == mu.shape or (
-            logvar is not None and not logvar.shape == np.shape(inv_var) == mu.shape
-        ):
-            raise ShapeError(f"diag_gauss_kl: a term's prior or logvar does not fit mu {mu.shape}")
-        d = mu.data - m
-        pd = prec * d
-        term = (pd * d).sum()
-        e = None
-        parents.append(mu)
-        if logvar is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu, logvar, m, prec, inv_var in terms:
+            d = mu.data - m
+            pd = prec * d
+            term = (pd * d).sum()
+            e = None
+            parents.append(mu)
+            if logvar is not None:
                 e = np.exp(logvar.data)
                 term = term + (e * inv_var).sum() - logvar.data.sum()
-            parents.append(logvar)
-        total += term
-        saved.append((mu, logvar, pd, e, inv_var))
+                parents.append(logvar)
+            total += term
+            saved.append((mu, logvar, pd, e, inv_var))
 
     def back(g):
+        g = g * scale
         grads = []
         for mu, logvar, pd, e, inv_var in saved:
             grads.append(g * pd if mu.requires_grad else None)
@@ -345,18 +323,21 @@ def diag_gauss_kl(terms, const=0.0):
                 grads.append(0.5 * g * (e * inv_var - 1.0) if logvar.requires_grad else None)
         return grads
 
-    return Tensor._result("diag_gauss_kl", np.asarray(0.5 * (total + const)), parents, back)
+    return Tensor._result("diag_gauss_kl", np.asarray(0.5 * (total + const)) * scale, parents, back)
 
 
-def dense(x, w, b, gamma=None, shift=None, relu=True):
+def dense(x, w, b, gamma=None, shift=None, relu=True, draw=None):
     """A dense layer, relu((x @ w + b) * gamma + shift), as one node.
 
-    FiLM (gamma, shift) and the ReLU are optional. The forward works in
-    place on the matmul's output and checks finiteness once, at the end:
-    NaN and Inf survive +b, *gamma, +shift and the ReLU mask, so that is
-    as strict as a check after every step. Forward and backward repeat
-    the numpy work of the op chain matmul -> add -> (x * gamma + shift)
-    -> relu, so both are bit-identical to it.
+    FiLM (gamma, shift) and the ReLU are optional. With draw = (w_logvar,
+    w_eps, b_logvar, b_eps), w and b are means and the layer uses the
+    finite draws w + exp(w_logvar / 2) * w_eps and b likewise; the
+    parents are then x, w, w_logvar, b, b_logvar, gamma and shift. The
+    forward works in place on the matmul's output and checks finiteness
+    once, at the end: NaN and Inf survive +b, *gamma, +shift and the ReLU
+    mask, so that is as strict as a check after every step. Forward and
+    backward repeat the numpy work of the op chain (draws ->) matmul ->
+    add -> (x * gamma + shift) -> relu, so both are bit-identical to it.
     """
     if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: shapes {x.shape} and {w.shape} do not conform")
@@ -364,11 +345,22 @@ def dense(x, w, b, gamma=None, shift=None, relu=True):
     film = gamma is not None
     if b.shape != width or film and (gamma.shape != width or shift.shape != width):
         raise ShapeError(f"dense: bias or FiLM params do not match weight {w.shape}")
-    parents = (x, w, b, gamma, shift) if film else (x, w, b)
+    xd, wd, bd = x.data, w.data, b.data
+    core = (x, w, b)
+    if draw is not None:
+        w_lv, w_eps, b_lv, b_eps = draw
+        if not w_lv.shape == w_eps.shape == w.shape or not b_lv.shape == b_eps.shape == width:
+            raise ShapeError(f"dense: log-variances or noise do not match weight {w.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_std, b_std = np.exp(w_lv.data * 0.5), np.exp(b_lv.data * 0.5)
+            wd, bd = wd + w_std * w_eps, bd + b_std * b_eps
+        _check_finite("dense", wd)
+        _check_finite("dense", bd)
+        core = (x, w, w_lv, b, b_lv)
+    parents = core + (gamma, shift) if film else core
     track = _grad_enabled and any(p.requires_grad for p in parents)
-    xd, wd = x.data, w.data
     out = xd @ wd
-    out += b.data
+    out += bd
     if film:
         gd = gamma.data[None, :]
         pre = out.copy() if track and gamma.requires_grad else None
@@ -377,7 +369,13 @@ def dense(x, w, b, gamma=None, shift=None, relu=True):
     if relu:
         mask = out > 0
         out *= mask
-    through = x.requires_grad or w.requires_grad or b.requires_grad
+    through = any(p.requires_grad for p in core)
+    w_grad = w.requires_grad or draw is not None and w_lv.requires_grad
+    b_grad = b.requires_grad or draw is not None and b_lv.requires_grad
+
+    def spread(gm, lv, eps, std):
+        # the draw's backward: the mean's gradient passes, the log-variance's is scaled
+        return gm, (((gm * eps) * std) * 0.5 if lv.requires_grad else None)
 
     def back(g):
         if relu:
@@ -392,13 +390,12 @@ def dense(x, w, b, gamma=None, shift=None, relu=True):
         rows = None if _captured is None else _captured.get(w)
         if rows is not None:
             rows.append((xd, g))
-        elif w.requires_grad:
+        elif w_grad:
             gw = xd.T @ g
-        grads = (
-            g @ wd.T if x.requires_grad else None,
-            gw,
-            g.sum(axis=0) if b.requires_grad else None,
-        )
+        gx = g @ wd.T if x.requires_grad else None
+        gb = g.sum(axis=0) if b_grad else None
+        grads = (gx, gw, gb) if draw is None else (
+            gx, *spread(gw, w_lv, w_eps, w_std), *spread(gb, b_lv, b_eps, b_std))
         return grads + (gg, gs) if film else grads
 
     return Tensor._result("dense", out, parents, back)

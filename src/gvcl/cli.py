@@ -173,10 +173,11 @@ def cmd_toy(name, out_root):
 
 def _verify_checks():
     from . import autodiff as ad
-    from .autodiff import Tensor
     from .gaussians import DiagGaussian, film_optimal_scale, kl_diag, kl_lambda, scaled_kl, temper
     from .nets import Architecture, init_net, split_flat
-    from .objectives import curvature_probe, fisher_diag
+    from .objectives import (
+        GVCLConfig, beta_elbo_loss, curvature_probe, fisher_diag, posterior_to_prior,
+    )
 
     rng = np.random.default_rng(0)
 
@@ -209,19 +210,48 @@ def _verify_checks():
                 return False
         return True
 
-    def gradient_check():
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        y = ad.tsum(ad.square(ad.relu(ad.matmul(x, w))))
-        ad.backward(y)
-        eps = 1e-6
-        i, j = 1, 0
-        w.data[i, j] += eps
-        up = float(np.sum(np.square(np.maximum(x.data @ w.data, 0))))
-        w.data[i, j] -= 2 * eps
-        dn = float(np.sum(np.square(np.maximum(x.data @ w.data, 0))))
-        w.data[i, j] += eps
-        return abs((up - dn) / (2 * eps) - w.grad[i, j]) < 1e-4
+    def central_difference(f, a, j, eps=1e-5):
+        a[j] += eps
+        up = f()
+        a[j] -= 2 * eps
+        dn = f()
+        a[j] += eps
+        return (up - dn) / (2 * eps)
+
+    def elbo_finite_differences():
+        # beta_elbo_loss gradients at fixed noise on a 3-4-2 FiLM MLP with a
+        # clipped prior, against central differences of a numpy forward
+        r = np.random.default_rng(2)
+        net = init_net(Architecture.mlp(input_dim=3, hidden=(4,)), 0)
+        net.add_task("a", 2, r)
+        for p in net.shared_logvars():
+            p.data = r.uniform(-3.0, 0.5, p.shape)  # some variances above the prior's
+        prior = posterior_to_prior(net, 1.0, lam=10.0)
+        for p in net.trainable_params("a"):
+            p.data = p.data + r.normal(scale=0.5, size=p.shape)
+        x, y, cfg = r.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1]), GVCLConfig(beta=0.5)
+        noise = net.sample_noise("a", np.random.default_rng(3))
+        ad.backward(beta_elbo_loss(net, "a", x, y, prior, cfg, 7, np.random.default_rng(3)))
+        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
+        # w0 mean, w0 logvar, b0 mean, b0 logvar, then the head's (w1, b1) alike
+        drawn = layer.variational_params() + head.variational_params()
+
+        def loss():
+            w0, b0, w1, b1 = (m.data + np.exp(lv.data * 0.5) * e
+                              for m, lv, e in zip(drawn[::2], drawn[1::2], noise))
+            z = np.maximum((x @ w0 + b0) * fp.gamma.data + fp.shift.data, 0.0) @ w1 + b1
+            nll = np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), y])
+            mu, lv = (np.concatenate([t.data.ravel() for t in drawn[k:4:2]]) for k in (0, 1))
+            kl = np.sum(prior.prec * (mu - prior.mu) ** 2 + np.exp(lv) / prior.var - lv
+                        + np.log(prior.var) - 1.0)
+            return nll + cfg.beta / 7 * 0.5 * kl
+
+        for t, j in ((layer.weight_mu, (1, 2)), (layer.weight_logvar, (0, 3)),
+                     (layer.bias_logvar, (1,)), (fp.gamma, (2,)), (head.weight_mu, (1, 0))):
+            want = central_difference(loss, t.data, j)
+            if not (want != 0 and abs(t.grad[j] - want) <= 1e-6 * abs(want)):
+                return False
+        return True
 
     def fisher_finite_differences():
         # fisher_diag on a 3-4-2 FiLM MLP against squared per-example NLL
@@ -243,16 +273,8 @@ def _verify_checks():
 
         params = net.shared_means()  # w0, b0
         fisher = split_flat(fisher_diag(net, "a", x, y), params)
-        eps = 1e-5
         for k, j in ((0, (0, 1)), (0, (2, 3)), (1, (1,)), (1, (2,))):
-            p, want = params[k].data, 0.0
-            for i in range(3):
-                p[j] += eps
-                up = nll(i)
-                p[j] -= 2 * eps
-                dn = nll(i)
-                p[j] += eps
-                want += ((up - dn) / (2 * eps)) ** 2
+            want = sum(central_difference(lambda: nll(i), params[k].data, j) ** 2 for i in range(3))
             if not (want > 0 and abs(fisher[k][j] - want) <= 1e-6 * want):
                 return False
         return True
@@ -279,7 +301,7 @@ def _verify_checks():
         ("kl self-distance zero", kl_self_zero),
         ("conjugate posterior variance", conjugate_posterior),
         ("film scale optimum vs grid", film_scale_optimum),
-        ("autodiff gradient check", gradient_check),
+        ("elbo gradients vs finite differences", elbo_finite_differences),
         ("fisher vs finite differences", fisher_finite_differences),
         ("metric definitions", metric_example),
         ("idx round-trip", idx_roundtrip),

@@ -1,9 +1,9 @@
 """Mean-field Bayesian MLPs with per-task FiLM layers and heads.
 
 A net owns a stack of shared mean-field dense layers, one FiLM parameter
-set per (task, FiLM layer), and one mean-field head per task. Sampling
-uses the reparameterization theta = mu + exp(logvar / 2) * eps with noise
-shared across the batch.
+set per (task, FiLM layer), and one mean-field head per task. Each layer
+is one ``autodiff.dense`` node, which makes the draw theta = mu +
+exp(logvar / 2) * eps itself, with noise shared across the batch.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 
 INIT_LOGVAR = np.log(1e-6)  # every mean-field tensor starts at variance 1e-6
 
@@ -63,15 +63,14 @@ class MeanFieldLayer:
     def variational_params(self):
         return [self.weight_mu, self.weight_logvar, self.bias_mu, self.bias_logvar]
 
-    def sample(self, noise):
-        """Draw (weight, bias) tensors with the next two N(0, 1) draws of the
-        `noise` iterator; the means when noise is None."""
-        if noise is None:
-            return self.weight_mu, self.bias_mu
-        return (
-            ad.reparam(self.weight_mu, self.weight_logvar, next(noise)),
-            ad.reparam(self.bias_mu, self.bias_logvar, next(noise)),
-        )
+    def forward(self, h, noise, gamma=None, shift=None, relu=True):
+        """The layer's dense node on input h: at the means when noise is
+        None, else at the draw that takes the next two N(0, 1) arrays of
+        the `noise` iterator, weight then bias."""
+        draw = None
+        if noise is not None:
+            draw = (self.weight_logvar, next(noise), self.bias_logvar, next(noise))
+        return ad.dense(h, self.weight_mu, self.bias_mu, gamma, shift, relu, draw)
 
 
 class FiLMParams:
@@ -114,14 +113,11 @@ class VariationalNet:
         noise = None if noise is None else iter(noise)
         last = len(self.shared) - 1
         for i, layer in enumerate(self.shared):
-            w, b = layer.sample(noise)
             gamma, shift = (film[i].gamma, film[i].shift) if film else (None, None)
             # the shared stack is all hidden (ReLU) unless there are no heads
-            h = ad.dense(h, w, b, gamma, shift, relu=bool(self.arch.head_in) or i < last)
+            h = layer.forward(h, noise, gamma, shift, relu=bool(self.arch.head_in) or i < last)
         if self.arch.head_in:
-            head = self.heads[task]
-            w, b = head.sample(noise)
-            h = ad.dense(h, w, b, relu=False)
+            h = self.heads[task].forward(h, noise, relu=False)
         return h
 
     # -- noise -------------------------------------------------------------
@@ -178,11 +174,12 @@ class VariationalNet:
 def split_flat(flat, tensors):
     """Views of a flat vector, one per tensor in order, each shaped like it.
 
-    Raises ValueError when the vector's size is not the tensors' total size.
+    Raises ShapeError, a ValueError, when the vector's size is not the
+    tensors' total size.
     """
     sizes = [t.size for t in tensors]
     if flat.size != sum(sizes):
-        raise ValueError(f"flat vector of size {flat.size} does not fit tensors of {sum(sizes)}")
+        raise ShapeError(f"flat vector of size {flat.size} does not fit tensors of {sum(sizes)}")
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     return [part.reshape(t.shape) for part, t in zip(parts, tensors)]
 

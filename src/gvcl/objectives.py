@@ -1,12 +1,13 @@
 """Training objectives: tempered ELBO, EWC quadratic penalty, curvature.
 
 The ELBO's KL term is one fused ``diag_gauss_kl`` node over the
-shared-layer parameters, so gradients flow to means and log-variances;
-FiLM and head parameters enter the likelihood only. Both losses hold
-their prior as one flat `NetPrior`: the EWC penalty is the KL against a
-prior without variances, its quadratic term alone. That prior is the
-whole Online-EWC state: `ewc_next_prior` rolls it forward after each task
-to (theta*, gamma * prec + lam * F).
+shared-layer parameters that carries the beta / N scale itself, so
+gradients flow to means and log-variances; FiLM and head parameters
+enter the likelihood only. Both losses hold their prior as one flat
+`NetPrior`: the EWC penalty is the KL against a prior without variances,
+its quadratic term alone. That prior is the whole Online-EWC state:
+`ewc_next_prior` rolls it forward after each task to (theta*, gamma *
+prec + lam * F).
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class NetPrior:
 
     def views(self, means):
         """Per-tensor (mu, prec, inv_var) views shaped like `means`, split
-        once per list of shapes; inv_var is None without a variance."""
+        once per list of shapes; inv_var is None without a variance. This
+        is the KL's shape check: a prior that does not fit raises ShapeError."""
         shapes = [p.shape for p in means]
         if self._views is None or self._views[0] != shapes:
             inv_var = [None] * len(means) if self.var is None else split_flat(1.0 / self.var, means)
@@ -102,13 +104,14 @@ def posterior_to_prior(net, prior0_var: float, lam: float) -> NetPrior:
     return NetPrior(flat_shared_mu(net), _clipped_prec(var, prior0_var, lam), var)
 
 
-def shared_kl_node(net, prior: NetPrior):
-    """Differentiable KL(q_shared || prior) with the lam-tilde quadratic term;
-    the Online-EWC penalty on the shared means when prior.var is None."""
+def shared_kl_node(net, prior: NetPrior, scale=1.0):
+    """Differentiable scale * KL(q_shared || prior) with the lam-tilde
+    quadratic term; the Online-EWC penalty on the shared means when
+    prior.var is None."""
     means = net.shared_means()
     logvars = net.shared_logvars() if prior.var is not None else [None] * len(means)
     terms = [(mu, lv, *v) for mu, lv, v in zip(means, logvars, prior.views(means))]
-    return ad.diag_gauss_kl(terms, prior.kl_const)
+    return ad.diag_gauss_kl(terms, prior.kl_const, scale)
 
 
 def nll_node(net, task, x, y, noise):
@@ -130,8 +133,7 @@ def beta_elbo_loss(net, task, x, y, prior: NetPrior, cfg: GVCLConfig, n_task: in
         nll = term if nll is None else ad.add(nll, term)
     if cfg.mc_samples > 1:
         nll = ad.mul(nll, Tensor(np.full((), 1.0 / cfg.mc_samples)))
-    kl = shared_kl_node(net, prior)
-    return ad.add(nll, ad.mul(kl, Tensor(np.full((), cfg.beta / n_task))))
+    return ad.add(nll, shared_kl_node(net, prior, cfg.beta / n_task))
 
 
 # -- EWC -------------------------------------------------------------------
@@ -202,10 +204,7 @@ def ewc_loss(net, task, x, y, prior: NetPrior, n_task=None):
     per-example NLL.
     """
     nll = nll_node(net, task, x, y, noise=None)
-    penalty = shared_kl_node(net, prior)
-    if n_task is not None:
-        penalty = ad.mul(penalty, Tensor(np.full((), 1.0 / n_task)))
-    return ad.add(nll, penalty)
+    return ad.add(nll, shared_kl_node(net, prior, 1.0 if n_task is None else 1.0 / n_task))
 
 
 def ewc_next_prior(prior: NetPrior, fisher_new, theta_now, lam=1.0, gamma=1.0) -> NetPrior:

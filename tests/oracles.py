@@ -2,7 +2,10 @@
 
 `kl_lambda_tilde` is the GVCL prior KL written on flat `DiagGaussian`s,
 term by term from the paper; `autodiff.diag_gauss_kl` computes the same
-value over many tensors at once.
+value over many tensors at once. `sampled_dense` is a mean-field layer
+as a chain of nodes: each draw built from primitive ops, then a dense
+layer at the drawn values; `autodiff.dense` with a draw is one node that
+must be bit-identical to it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gvcl import autodiff as ad
+from gvcl.autodiff import Tensor
 from gvcl.gaussians import DiagGaussian, clipped_precision
 
 
@@ -57,3 +62,14 @@ def kl_lambda_tilde(q: DiagGaussian, prior: ClippedPrecisionPrior) -> float:
             - 1.0
         )
     )
+
+
+def reparam(mu, logvar, eps):
+    """The draw mu + exp(logvar / 2) * eps as add(mu, mul(exp(mul(logvar, 0.5)), eps))."""
+    std = ad.exp(ad.mul(logvar, Tensor(np.full((), 0.5))))
+    return ad.add(mu, ad.mul(std, Tensor(eps)))
+
+
+def sampled_dense(x, w, w_logvar, w_eps, b, b_logvar, b_eps, gamma=None, shift=None, relu=True):
+    """A dense layer at the draws of its weight and bias, each draw its own chain."""
+    return ad.dense(x, reparam(w, w_logvar, w_eps), reparam(b, b_logvar, b_eps), gamma, shift, relu)

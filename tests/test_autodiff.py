@@ -1,6 +1,10 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 from gvcl import autodiff as ad
 from gvcl.autodiff import NonFiniteError, ShapeError, Tensor
 
@@ -123,41 +127,81 @@ def test_no_grad_leaves_are_skipped():
 # -- fused Gaussian ops --------------------------------------------------------
 
 
+def _draw_case(seed, logvar_low):
+    """Arrays x, w, w_logvar, b, b_logvar, gamma, shift of a sampled layer and its noise."""
+    rng = np.random.default_rng(seed)
+    arrs = [rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.uniform(logvar_low, 1, (4, 5)),
+            rng.normal(size=5), rng.uniform(logvar_low, 1, 5), rng.uniform(0.5, 1.5, 5),
+            rng.normal(size=5)]
+    return arrs, rng.normal(size=(4, 5)), rng.normal(size=5)
+
+
+def _sampled(fused, ts, w_eps, b_eps, film, relu):
+    """A sampled dense layer on ts = (x, w, w_logvar, b, b_logvar, gamma, shift):
+    the fused node, or the oracle chain of separate draw nodes."""
+    x, w, w_lv, b, b_lv, gamma, shift = ts
+    gamma, shift = (gamma, shift) if film else (None, None)
+    if fused:
+        return ad.dense(x, w, b, gamma, shift, relu, draw=(w_lv, w_eps, b_lv, b_eps))
+    return oracles.sampled_dense(x, w, w_lv, w_eps, b, b_lv, b_eps, gamma, shift, relu)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_reparam_gradients(seed):
-    rng = np.random.default_rng(seed)
-    mud, lvd, eps = rng.normal(size=(3, 4)), rng.uniform(-2, 1, (3, 4)), rng.normal(size=(3, 4))
+    # a sampled dense layer against central differences, for all seven inputs
+    arrs, w_eps, b_eps = _draw_case(seed, -2)
+    weights = np.random.default_rng(seed + 20).normal(size=(6, 5))
 
-    def scalar(arrs):
-        return float(np.sum(np.square(ad.reparam(Tensor(arrs[0]), Tensor(arrs[1]), eps).data)))
+    def forward(arrs, grad=False):
+        ts = [Tensor(a, requires_grad=grad) for a in arrs]
+        return _sampled(True, ts, w_eps, b_eps, film=True, relu=True), ts
 
-    mu, lv = Tensor(mud, requires_grad=True), Tensor(lvd, requires_grad=True)
-    ad.backward(ad.tsum(ad.square(ad.reparam(mu, lv, eps))))
-    arrs = [mud, lvd]
-    assert_close(mu.grad, numgrad(scalar, arrs, 0))
-    assert_close(lv.grad, numgrad(scalar, arrs, 1))
+    out, ts = forward(arrs, grad=True)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(weights))))
+
+    def scalar(a):
+        return float((forward(a)[0].data * weights).sum())
+
+    for i, t in enumerate(ts):
+        assert_close(t.grad, numgrad(scalar, arrs, i))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_reparam_bit_equal_to_op_chain(seed):
-    rng = np.random.default_rng(seed)
-    mud, lvd, eps = rng.normal(size=(5, 3)), rng.uniform(-14, 1, (5, 3)), rng.normal(size=(5, 3))
-    weights = Tensor(rng.normal(size=(5, 3)))
+    # the fused sampled layer against the oracle chain, bitwise in the value
+    # and every gradient: FiLM and ReLU on and off, x with and without a
+    # gradient, and under no_grad
+    arrs, w_eps, b_eps = _draw_case(seed, -14)
+    weights = Tensor(np.random.default_rng(seed + 10).normal(size=(6, 5)))
+    for film, relu, x_grad in itertools.product((True, False), repeat=3):
+        outs, grads = [], []
+        for fused in (False, True):
+            ts = [Tensor(a, requires_grad=i > 0 or x_grad) for i, a in enumerate(arrs)]
+            out = _sampled(fused, ts, w_eps, b_eps, film, relu)
+            ad.backward(ad.tsum(ad.mul(out, weights)))
+            outs.append(out.data.tobytes())
+            grads.append([None if t.grad is None else t.grad.tobytes() for t in ts])
+        assert outs[0] == outs[1], (film, relu, x_grad)
+        assert grads[0] == grads[1], (film, relu, x_grad)
+        assert (grads[1][0] is None) != x_grad and all(grads[1][1:5])
+    ts = [Tensor(a, requires_grad=True) for a in arrs]
+    with ad.no_grad():
+        outs = [_sampled(fused, ts, w_eps, b_eps, True, True) for fused in (False, True)]
+    assert outs[0].data.tobytes() == outs[1].data.tobytes()
+    assert not outs[1].requires_grad and outs[1]._parents == () and outs[1]._backward is None
 
-    def chain(mu, lv):
-        std = ad.exp(ad.mul(lv, Tensor(np.full((), 0.5))))
-        return ad.add(mu, ad.mul(std, Tensor(eps)))
 
-    outs, grads = [], []
-    for draw in (chain, lambda mu, lv: ad.reparam(mu, lv, eps)):
-        mu, lv = Tensor(mud, requires_grad=True), Tensor(lvd, requires_grad=True)
-        out = draw(mu, lv)
-        ad.backward(ad.tsum(ad.mul(out, weights)))
-        outs.append(out.data)
-        grads.append((mu.grad, lv.grad))
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(grads[0][0], grads[1][0])
-    assert np.array_equal(grads[0][1], grads[1][1])
+def test_dense_draw_overflow_raises_without_warning():
+    # a log-variance of 2000 overflows the draw: the node raises, and the
+    # draw's overflow emits no RuntimeWarning (warnings are errors here)
+    arrs, w_eps, b_eps = _draw_case(15, -2)
+    for k in (2, 4):  # the weight's log-variance, then the bias's
+        ts = [Tensor(a) for a in arrs]
+        ts[k] = Tensor(np.full(arrs[k].shape, 2000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                _sampled(True, ts, w_eps, b_eps, film=True, relu=True)
 
 
 def _kl_terms(rng):
@@ -196,6 +240,29 @@ def test_diag_gauss_kl_gradients(with_logvar):
         assert_close(t.grad, numgrad(scalar, arrs, i))
 
 
+@pytest.mark.parametrize("with_logvar", [True, False])
+def test_diag_gauss_kl_scale_bit_equal_to_mul(with_logvar):
+    # the node's own scale against a mul by a constant after it, bitwise in
+    # the value and the gradients, under a non-unit incoming gradient
+    data, priors = _kl_terms(np.random.default_rng(16))
+    outs, grads = [], []
+    for folded in (False, True):
+        ts = [Tensor(a, requires_grad=True) for pair in data for a in pair]
+        terms = [
+            (ts[2 * i], ts[2 * i + 1] if with_logvar else None, m, prec, 1.0 / v)
+            for i, (m, prec, v) in enumerate(priors)
+        ]
+        if folded:
+            out = ad.diag_gauss_kl(terms, 1.5, scale=0.37)
+        else:
+            out = ad.mul(ad.diag_gauss_kl(terms, 1.5), Tensor(np.full((), 0.37)))
+        ad.backward(ad.mul(out, Tensor(np.full((), 3.7))))
+        outs.append(out.data.tobytes())
+        grads.append([None if t.grad is None else t.grad.tobytes() for t in ts])
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
 def test_diag_gauss_kl_matches_kl_lambda_tilde():
     from gvcl.gaussians import DiagGaussian
     from oracles import ClippedPrecisionPrior, kl_lambda_tilde
@@ -215,13 +282,6 @@ def test_diag_gauss_kl_matches_kl_lambda_tilde():
         const = float(np.sum(np.log(base.var)) - n)
         got = float(ad.diag_gauss_kl(terms, const).data)
         assert got == pytest.approx(kl_lambda_tilde(q, prior), rel=1e-12, abs=1e-12)
-    mu, lv = Tensor(np.zeros(3)), Tensor(np.zeros(3))
-    with pytest.raises(ShapeError):
-        ad.diag_gauss_kl([(mu, lv, np.zeros(3), np.ones(2), np.ones(3))])
-    with pytest.raises(ShapeError):
-        ad.diag_gauss_kl([(mu, lv, np.zeros(3), np.ones(3), np.ones(()))])
-    with pytest.raises(ShapeError):
-        ad.reparam(mu, lv, np.zeros(2))
 
 
 def test_sigmoid_cross_entropy_closed_form_and_gradient():
@@ -342,6 +402,11 @@ def test_dense_non_finite_raises():
         ad.dense(x, Tensor(np.zeros((5, 5))), b)
     with pytest.raises(ShapeError):
         ad.dense(x, w, b, Tensor(np.ones(4)), shift)
+    lv, b_lv = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5))
+    with pytest.raises(ShapeError):  # weight noise of another shape
+        ad.dense(x, w, b, draw=(lv, np.zeros(2), b_lv, np.zeros(5)))
+    with pytest.raises(ShapeError):  # a bias log-variance of another shape
+        ad.dense(x, w, b, draw=(lv, np.zeros((4, 5)), Tensor(np.zeros(4)), np.zeros(5)))
 
 
 def test_no_grad_records_no_graph_and_restores():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from gvcl import autodiff as ad
+from gvcl.autodiff import ShapeError
 from gvcl import objectives as obj
 from gvcl import toys
 from gvcl.data import gen_toy_clusters
@@ -128,11 +130,18 @@ def test_clipped_prior_kl_through_a_whole_net_matches_oracle():
 
 
 def test_prior_of_another_size_raises():
+    # the KL's shape check runs where NetPrior.views splits the prior
     net = tiny_net(hidden=(5,))
     other = tiny_net(hidden=(4,))
     for prior in (initial_prior(other, 1.0), posterior_to_prior(other, 1.0, lam=2.0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             shared_kl_node(net, prior)
+    means = net.shared_means()
+    n = sum(p.size for p in means)
+    with pytest.raises(ShapeError):  # a precision of another size
+        NetPrior(np.zeros(n), np.ones(n - 1), np.ones(n)).views(means)
+    with pytest.raises(ShapeError):  # a variance of another size
+        NetPrior(np.zeros(n), np.ones(n), np.ones(n + 1)).views(means)
 
 
 def test_empty_batch_raises():
@@ -467,15 +476,16 @@ def _op_nodes(loss):
 
 @pytest.mark.parametrize("arch,limit", [
     # criterion 7: 12-8 MLP with FiLM and a task head
-    (Architecture.mlp(input_dim=12, hidden=(8,)), 11),
+    (Architecture.mlp(input_dim=12, hidden=(8,)), 6),
     # criterion 4: the 2-D logistic net
-    (Architecture.logistic(), 8),
+    (Architecture.logistic(), 5),
     # the Split-MNIST 784-256-256 FiLM MLP
-    (Architecture.mlp(), 14),
+    (Architecture.mlp(), 7),
 ])
 def test_elbo_graph_stays_fused(arch, limit):
-    # the draw, each dense layer, the KL and the binary NLL are one node
-    # each; a refactor that splits them into elementwise ops again fails here
+    # each sampled layer with its draw, the scaled KL and the NLL are one
+    # node each, then tmean and the final add; a refactor that splits them
+    # into separate draw, elementwise or scaling nodes again fails here
     net = init_net(arch, 0)
     rng = np.random.default_rng(1)
     net.add_task("a", 3, rng)
@@ -485,3 +495,45 @@ def test_elbo_graph_stays_fused(arch, limit):
     y = rng.integers(0, 3 if arch.head_in else 2, size=5)
     loss = beta_elbo_loss(net, "a", x, y, prior, GVCLConfig(beta=0.5), 5, rng)
     assert _op_nodes(loss) <= limit
+
+
+def _elbo_chain(net, task, x, y, prior, cfg, n_task, rng):
+    """beta_elbo_loss built from the oracle chain: separate draw nodes per
+    layer, and a mul by a constant for the KL's beta / N."""
+    nll = None
+    for _ in range(cfg.mc_samples):
+        noise = iter(net.sample_noise(task, rng))
+        h = ad.Tensor(x)
+        layers = [(l, fp.gamma, fp.shift, True) for l, fp in zip(net.shared, net.film[task])]
+        for layer, gamma, shift, relu in layers + [(net.heads[task], None, None, False)]:
+            h = oracles.sampled_dense(h, layer.weight_mu, layer.weight_logvar, next(noise),
+                                      layer.bias_mu, layer.bias_logvar, next(noise),
+                                      gamma, shift, relu)
+        term = ad.tmean(ad.softmax_cross_entropy(h, y))
+        nll = term if nll is None else ad.add(nll, term)
+    nll = ad.mul(nll, ad.Tensor(np.full((), 1.0 / cfg.mc_samples)))
+    kl = ad.mul(shared_kl_node(net, prior), ad.Tensor(np.full((), cfg.beta / n_task)))
+    return ad.add(nll, kl)
+
+
+def test_elbo_bit_equal_to_op_chain_with_two_samples():
+    # two MC samples put three gradients on each shared leaf (two draws and
+    # the KL): the fused graph must add them in the chain's order, bitwise
+    net = tiny_net(seed=5, hidden=(5, 4))
+    rng = np.random.default_rng(6)
+    for p in net.shared_logvars():
+        p.data = rng.uniform(-3.0, 0.5, p.shape)
+    prior = posterior_to_prior(net, 1.0, lam=3.0)
+    for p in net.shared_means() + net.shared_logvars():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    x, y = batch(seed=7)
+    cfg = GVCLConfig(beta=0.3, mc_samples=2)
+    params = net.trainable_params("a")
+    runs = []
+    for loss_fn in (_elbo_chain, beta_elbo_loss):
+        for p in params:
+            p.grad = None
+        loss = loss_fn(net, "a", x, y, prior, cfg, 11, np.random.default_rng(8))
+        ad.backward(loss)
+        runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
+    assert runs[0] == runs[1]
