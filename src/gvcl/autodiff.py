@@ -52,8 +52,11 @@ _grad_enabled = True
 class no_grad:
     """Context in which ops record no graph: no parents, no closures.
 
-    The flag it sets is process-wide and restored on exit, exceptions
-    included; gvcl runs one cell per process, single-threaded.
+    The flag it sets is process-wide, not per thread, and restored on
+    exit, exceptions included. So only one thread may enter it at a time:
+    ``nets.predict`` enters it once in the calling thread around all its
+    draws, and its worker thread, which runs forwards under that setting,
+    never enters it.
     """
 
     def __enter__(self):

@@ -176,7 +176,8 @@ def _verify_checks():
     from .gaussians import DiagGaussian, film_optimal_scale, kl_diag, kl_lambda, scaled_kl, temper
     from .nets import Architecture, init_net, split_flat
     from .objectives import (
-        GVCLConfig, beta_elbo_loss, curvature_probe, fisher_diag, posterior_to_prior,
+        GVCLConfig, NetPrior, beta_elbo_loss, curvature_probe, ewc_loss, fisher_diag,
+        posterior_to_prior,
     )
 
     rng = np.random.default_rng(0)
@@ -253,6 +254,34 @@ def _verify_checks():
                 return False
         return True
 
+    def ewc_finite_differences():
+        # ewc_loss gradients on a 3-4-2 FiLM MLP with a nonzero-precision
+        # Online-EWC prior, against central differences of a numpy forward
+        r = np.random.default_rng(4)
+        net = init_net(Architecture.mlp(input_dim=3, hidden=(4,)), 0)
+        net.add_task("a", 2, r)
+        for p in net.trainable_params("a", means_only=True):
+            p.data = p.data + r.normal(scale=0.5, size=p.shape)
+        n = sum(p.size for p in net.shared_means())
+        prior = NetPrior(r.normal(size=n), r.uniform(1.0, 5.0, n))
+        x, y, n_task = r.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1]), 7
+        ad.backward(ewc_loss(net, "a", x, y, prior, n_task))
+        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
+
+        def loss():
+            h = (x @ layer.weight_mu.data + layer.bias_mu.data) * fp.gamma.data + fp.shift.data
+            z = np.maximum(h, 0.0) @ head.weight_mu.data + head.bias_mu.data
+            nll = np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), y])
+            mu = np.concatenate([t.data.ravel() for t in net.shared_means()])
+            return nll + 0.5 * np.sum(prior.prec * (mu - prior.mu) ** 2) / n_task
+
+        for t, j in ((layer.weight_mu, (1, 2)), (layer.weight_mu, (2, 0)), (layer.bias_mu, (3,)),
+                     (fp.gamma, (2,)), (fp.shift, (0,)), (head.weight_mu, (3, 1))):
+            want = central_difference(loss, t.data, j)
+            if not (want != 0 and abs(t.grad[j] - want) <= 1e-6 * abs(want)):
+                return False
+        return True
+
     def fisher_finite_differences():
         # fisher_diag on a 3-4-2 FiLM MLP against squared per-example NLL
         # gradients from central differences of a numpy forward
@@ -302,6 +331,7 @@ def _verify_checks():
         ("conjugate posterior variance", conjugate_posterior),
         ("film scale optimum vs grid", film_scale_optimum),
         ("elbo gradients vs finite differences", elbo_finite_differences),
+        ("ewc gradients vs finite differences", ewc_finite_differences),
         ("fisher vs finite differences", fisher_finite_differences),
         ("metric definitions", metric_example),
         ("idx round-trip", idx_roundtrip),

@@ -8,6 +8,8 @@ exp(logvar / 2) * eps itself, with noise shared across the batch.
 
 from __future__ import annotations
 
+import ctypes
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,26 +190,70 @@ def init_net(arch: Architecture, seed: int) -> VariationalNet:
     return VariationalNet(arch, np.random.default_rng(seed))
 
 
+# One draw's multiply-adds (rows x shared weights) from which `predict`
+# runs its posterior draws two at a time; below it they run one at a time.
+# Criterion 7's 12-8 MLP is about 1e5, the toy-cluster 2-256-256 net about
+# 1.3e7 (both below), a Split-MNIST test set on 784-256-256 about 5e8.
+PARALLEL_DRAW_MACS = 2**24
+_M_ARENA_MAX = -8  # glibc's mallopt parameter number
+
+
 def predict(net, task, x, num_samples, rng=None):
     """Class probabilities for a batch: one pass at the posterior means when
     `num_samples` is 0, else the average over that many posterior draws
     from `rng` (softmax per draw).
 
-    The forward passes run under ``no_grad``: they record no graph.
+    The forward passes run under ``no_grad``, entered once in the calling
+    thread: they record no graph. From PARALLEL_DRAW_MACS multiply-adds per
+    draw, the draws run in pairs: the calling thread draws both noise
+    sets in order, a worker thread runs the second draw's forward while
+    the calling thread runs the first, and the two are added in order.
+    Each draw's arithmetic and the order of the sums are unchanged, so the
+    result and the `rng` state are bit-identical to drawing one at a time.
+    The worker lives only inside this call, and no draw is in flight while
+    `sample_noise` runs.
     """
     if num_samples < 0:
         raise ValueError(f"num_samples must be >= 0, got {num_samples}")
     if num_samples and rng is None:
         raise ValueError("posterior draws need an rng")
-    binary, draws = net.arch.head_in == 0, max(num_samples, 1)
-    acc = None
-    for _ in range(draws):
-        noise = net.sample_noise(task, rng) if num_samples else None
-        with ad.no_grad():
-            logits = net.forward_sample(task, x, noise=noise).data
-        p = _probs(logits, binary)
-        acc = p if acc is None else acc + p
-    return acc / draws
+    binary = net.arch.head_in == 0
+
+    def draw(noise):
+        return _probs(net.forward_sample(task, x, noise=noise).data, binary)
+
+    with ad.no_grad():
+        if not num_samples:
+            return draw(None)
+        macs = len(x) * sum(layer.weight_mu.size for layer in net.shared)
+        pairs = num_samples // 2 if macs >= PARALLEL_DRAW_MACS else 0
+        acc = None
+        if pairs:
+            _cap_malloc_arenas()
+            with ThreadPoolExecutor(1) as worker:
+                for _ in range(pairs):
+                    first, second = net.sample_noise(task, rng), net.sample_noise(task, rng)
+                    pending = worker.submit(draw, second)
+                    p = draw(first)
+                    q = pending.result()
+                    acc = p + q if acc is None else acc + p + q
+        for _ in range(num_samples - 2 * pairs):  # the odd last draw, or every draw
+            p = draw(net.sample_noise(task, rng))
+            acc = p if acc is None else acc + p
+        return acc / num_samples
+
+
+def _cap_malloc_arenas():
+    """Keep glibc malloc to one arena, so a worker thread's allocations
+    reuse the main heap instead of holding an arena of its own. The setting
+    is process-wide and idempotent; a no-op where the C library has no
+    `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _probs(logits, binary):

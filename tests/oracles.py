@@ -5,7 +5,8 @@ term by term from the paper; `autodiff.diag_gauss_kl` computes the same
 value over many tensors at once. `sampled_dense` is a mean-field layer
 as a chain of nodes: each draw built from primitive ops, then a dense
 layer at the drawn values; `autodiff.dense` with a draw is one node that
-must be bit-identical to it.
+must be bit-identical to it. `sequential_predict` is `nets.predict` one
+draw at a time, each in turn: the parallel draws must match it bitwise.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from gvcl import autodiff as ad
 from gvcl.autodiff import Tensor
 from gvcl.gaussians import DiagGaussian, clipped_precision
+from gvcl.nets import _probs
 
 
 @dataclass(frozen=True)
@@ -73,3 +75,17 @@ def reparam(mu, logvar, eps):
 def sampled_dense(x, w, w_logvar, w_eps, b, b_logvar, b_eps, gamma=None, shift=None, relu=True):
     """A dense layer at the draws of its weight and bias, each draw its own chain."""
     return ad.dense(x, reparam(w, w_logvar, w_eps), reparam(b, b_logvar, b_eps), gamma, shift, relu)
+
+
+def sequential_predict(net, task, x, num_samples, rng=None):
+    """MC predictive probabilities, one draw after another (the means when
+    `num_samples` is 0): noise, forward, softmax, added to the running sum."""
+    binary, draws = net.arch.head_in == 0, max(num_samples, 1)
+    acc = None
+    for _ in range(draws):
+        noise = net.sample_noise(task, rng) if num_samples else None
+        with ad.no_grad():
+            logits = net.forward_sample(task, x, noise=noise).data
+        p = _probs(logits, binary)
+        acc = p if acc is None else acc + p
+    return acc / draws

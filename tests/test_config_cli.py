@@ -140,7 +140,8 @@ def test_cli_verify_exits_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
+    assert "ewc gradients vs finite differences" in out
 
 
 def test_cli_toy_film_scale(tmp_path, capsys):

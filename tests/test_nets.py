@@ -1,7 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import oracles
 from gvcl import autodiff as ad
+from gvcl import nets
+from gvcl.autodiff import NonFiniteError
 from gvcl.gaussians import DiagGaussian, kl_diag
 from gvcl.nets import (
     Architecture,
@@ -11,7 +18,7 @@ from gvcl.nets import (
     prune_diagnostics,
     save_checkpoint,
 )
-from gvcl.objectives import initial_prior, shared_kl_node
+from gvcl.objectives import GVCLConfig, beta_elbo_loss, initial_prior, shared_kl_node
 
 
 def small_net(seed=0, film=True, hidden=(6, 5)):
@@ -185,6 +192,129 @@ def test_predict_records_no_graph(monkeypatch):
     for out in logits:
         assert not out.requires_grad and out._parents == () and out._backward is None
     assert net.forward_sample("a", x)._parents  # outside predict a graph is built
+
+
+def wide_net(seed=20):
+    """A 300-256-256 MLP with a wide posterior; 128 rows of it reach the
+    parallel-draw threshold."""
+    net = init_net(Architecture.mlp(input_dim=300, hidden=(256, 256)), seed)
+    net.add_task("a", 10, np.random.default_rng(seed + 1))
+    for layer in net.shared + [net.heads["a"]]:
+        layer.weight_logvar.data[:] = np.log(1e-3)
+    return net
+
+
+def draw_macs(net, x):
+    return len(x) * sum(layer.weight_mu.size for layer in net.shared)
+
+
+@pytest.mark.parametrize("above", [True, False])
+@pytest.mark.parametrize("num_samples", [0, 1, 2, 3, 20])
+def test_predict_bitwise_equals_sequential_draws(above, num_samples):
+    if above:
+        net, x = wide_net(), np.random.default_rng(21).normal(size=(128, 300))
+        assert draw_macs(net, x) >= nets.PARALLEL_DRAW_MACS
+    else:
+        net, x = small_net(seed=22), np.random.default_rng(23).normal(size=(9, 3))
+        assert draw_macs(net, x) < nets.PARALLEL_DRAW_MACS
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = predict(net, "a", x, num_samples, got_rng)
+    want = oracles.sequential_predict(net, "a", x, num_samples, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_parallel_predict_under_fast_thread_switching():
+    # a thread switch every microsecond interleaves the two draws' Python
+    # work finely; any state they shared would show in the result
+    net, x = wide_net(), np.random.default_rng(27).normal(size=(128, 300))
+    want = oracles.sequential_predict(net, "a", x, 6, np.random.default_rng(7))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [predict(net, "a", x, 6, np.random.default_rng(7)) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.tobytes() == want.tobytes() for g in got)
+    assert ad._grad_enabled is True
+
+
+def spy_forward(monkeypatch, net, hold_s=0.0):
+    """Record the thread of every forward_sample call, holding each worker
+    draw for `hold_s`; the returned dict also counts draws in flight."""
+    state = {"threads": [], "in_flight": 0, "raised_in": []}
+    lock, forward, main = threading.Lock(), net.forward_sample, threading.get_ident()
+
+    def spy(*args, **kwargs):
+        with lock:
+            state["threads"].append(threading.get_ident())
+            state["in_flight"] += 1
+        try:
+            if threading.get_ident() != main:
+                time.sleep(hold_s)
+            return forward(*args, **kwargs)
+        except NonFiniteError:
+            state["raised_in"].append(threading.get_ident())
+            raise
+        finally:
+            with lock:
+                state["in_flight"] -= 1
+
+    monkeypatch.setattr(net, "forward_sample", spy)
+    return state
+
+
+def test_parallel_predict_restores_grad_mode_and_threads(monkeypatch):
+    net, x = wide_net(), np.random.default_rng(24).normal(size=(128, 300))
+    state = spy_forward(monkeypatch, net)
+    threads = threading.active_count()
+    predict(net, "a", x, 20, np.random.default_rng(0))
+    assert ad._grad_enabled is True
+    assert threading.active_count() == threads
+    workers = [t for t in state["threads"] if t != threading.get_ident()]
+    assert len(workers) == 10  # every second draw ran on the worker
+
+
+def test_worker_draw_error_propagates_and_leaves_training_intact(monkeypatch):
+    net, x = wide_net(), np.random.default_rng(25).normal(size=(128, 300))
+    state = spy_forward(monkeypatch, net)
+    sample, calls = net.sample_noise, []
+
+    def poisoned(task, rng):
+        calls.append(task)
+        noise = sample(task, rng)
+        # the second noise set of the first pair is the worker's draw
+        return [e * np.inf for e in noise] if len(calls) == 2 else noise
+
+    monkeypatch.setattr(net, "sample_noise", poisoned)
+    threads = threading.active_count()
+    with pytest.raises(NonFiniteError):
+        predict(net, "a", x, 4, np.random.default_rng(0))
+    assert len(state["raised_in"]) == 1 and state["raised_in"][0] != threading.get_ident()
+    assert ad._grad_enabled is True
+    assert threading.active_count() == threads
+    y = np.zeros(len(x), dtype=int)
+    loss = beta_elbo_loss(net, "a", x, y, initial_prior(net), GVCLConfig(), 128, None)
+    assert loss.requires_grad and loss._parents
+    ad.backward(loss)
+    assert net.shared[0].weight_mu.grad is not None
+
+
+def test_sample_noise_runs_with_no_draw_in_flight(monkeypatch):
+    # the benchmark times its single-threaded reference bursts from the
+    # sample_noise hook, between MC draws
+    net, x = wide_net(), np.random.default_rng(26).normal(size=(128, 300))
+    state = spy_forward(monkeypatch, net, hold_s=0.01)
+    sample, in_flight = net.sample_noise, []
+
+    def spy(task, rng):
+        in_flight.append(state["in_flight"])
+        return sample(task, rng)
+
+    monkeypatch.setattr(net, "sample_noise", spy)
+    predict(net, "a", x, 7, np.random.default_rng(0))
+    assert in_flight == [0] * 7
+    assert sum(t != threading.get_ident() for t in state["threads"]) == 3
 
 
 def test_initial_kl_finite_positive():
