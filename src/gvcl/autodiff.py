@@ -1,15 +1,14 @@
 """Minimal dense-tensor reverse-mode autodiff.
 
-Covers exactly the ops needed for mean-field MLPs and Gaussian ELBO
-terms on 2-D (batch, features) data: add (with a bias broadcast), mul,
-matmul, relu/log/exp/square, sum/mean reductions, and softmax and
-sigmoid cross-entropy. Fused ops each build one node with a closed-form
-backward: ``dense`` (a whole dense layer, relu((x @ w + b) * gamma +
-shift), with the FiLM scale-shift and the ReLU optional, at the means or
-at the reparameterized draw w + exp(w_logvar / 2) * eps, b likewise),
-``diag_gauss_kl`` (the clipped diagonal-Gaussian KL over many tensors,
-or its quadratic term alone, the Online-EWC penalty, times a constant
-scale) and ``sigmoid_cross_entropy``.
+Covers exactly the ops that training runs build, each one graph node
+with a closed-form backward: ``dense`` (a whole dense layer,
+relu((x @ w + b) * gamma + shift), with the FiLM scale-shift and the
+ReLU optional, at the means or at the reparameterized draw
+w + exp(w_logvar / 2) * eps, b likewise), ``diag_gauss_kl`` (the clipped
+diagonal-Gaussian KL over many tensors, or its quadratic term alone, the
+Online-EWC penalty, times a constant scale), ``softmax_cross_entropy``
+and ``sigmoid_cross_entropy`` (per example), ``tmean``, and ``add`` and
+``mul`` of equal shapes (in runs, scalars: NLL + KL and the MC average).
 
 All data is float64. Tensors are immutable values, numbered in creation
 order; an op's result links to its parents, so creation order is a
@@ -137,87 +136,24 @@ class Tensor:
         return out
 
 
-def _bias_broadcastable(a_shape, b_shape):
-    # (..., F) + (F,) bias convention; the only broadcast add allows.
-    return len(b_shape) == 1 and len(a_shape) >= 1 and a_shape[-1] == b_shape[0]
-
-
 def add(a, b):
-    if a.shape == b.shape:
-        def back(g):
-            return g, g
-    elif _bias_broadcastable(a.shape, b.shape):
-        axes = tuple(range(len(a.shape) - 1))
-
-        def back(g):
-            return g, (g.sum(axis=axes) if b.requires_grad else None)
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
-    return Tensor._result("add", a.data + b.data, (a, b), back)
+    return Tensor._result("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a, b):
-    if a.shape != b.shape and a.shape != () and b.shape != ():
+    if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
 
     def back(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g * bd
-            if a.shape == ():
-                ga = ga.sum()
-        if b.requires_grad:
-            gb = g * ad
-            if b.shape == ():
-                gb = gb.sum()
-        return ga, gb
-
-    return Tensor._result("mul", ad * bd, (a, b), back)
-
-
-def matmul(a, b):
-    if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    ad, bd = a.data, b.data
-
-    def back(g):
         return (
-            g @ bd.T if a.requires_grad else None,
-            ad.T @ g if b.requires_grad else None,
+            g * bd if a.requires_grad else None,
+            g * ad if b.requires_grad else None,
         )
 
-    return Tensor._result("matmul", ad @ bd, (a, b), back)
-
-
-def relu(a):
-    mask = a.data > 0
-    return Tensor._result("relu", a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def log(a):
-    ad = a.data
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(ad)
-    return Tensor._result("log", out, (a,), lambda g: (g / ad,))
-
-
-def exp(a):
-    with np.errstate(over="ignore"):
-        e = np.exp(a.data)
-    return Tensor._result("exp", e, (a,), lambda g: (g * e,))
-
-
-def square(a):
-    ad = a.data
-    return Tensor._result("square", ad * ad, (a,), lambda g: (2.0 * g * ad,))
-
-
-def tsum(a):
-    shape = a.shape
-    return Tensor._result(
-        "sum", np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),)
-    )
+    return Tensor._result("mul", ad * bd, (a, b), back)
 
 
 def tmean(a):
@@ -339,8 +275,9 @@ def dense(x, w, b, gamma=None, shift=None, relu=True, draw=None):
     forward works in place on the matmul's output and checks finiteness
     once, at the end: NaN and Inf survive +b, *gamma, +shift and the ReLU
     mask, so that is as strict as a check after every step. Forward and
-    backward repeat the numpy work of the op chain (draws ->) matmul ->
-    add -> (x * gamma + shift) -> relu, so both are bit-identical to it.
+    backward repeat the numpy work of the reference op chain (draws ->)
+    matmul -> bias add -> (x * gamma + shift) -> relu in tests/oracles.py,
+    so both are bit-identical to it.
     """
     if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: shapes {x.shape} and {w.shape} do not conform")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .objectives import GVCLConfig
 from .runner import METHODS, RunnerConfig
 
-DATASETS = ("split_mnist", "toy_clusters", "synthetic_pair")
+DATASETS = ("split_mnist", "toy_clusters")
 SECTIONS = ("experiment", "runner", "gvcl")
 
 

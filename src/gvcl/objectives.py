@@ -123,13 +123,13 @@ def nll_node(net, task, x, y, noise):
 
 
 def beta_elbo_loss(net, task, x, y, prior: NetPrior, cfg: GVCLConfig, n_task: int, rng):
-    """Loss = mean NLL (MC average) + beta * KL_tilde / N_task."""
+    """Loss = mean NLL (MC average over cfg.mc_samples noise draws from
+    rng) + beta * KL_tilde / N_task."""
     if len(np.asarray(y)) == 0:
         raise ValueError("batch must be nonempty")
     nll = None
     for _ in range(cfg.mc_samples):
-        noise = net.sample_noise(task, rng) if rng is not None else None
-        term = nll_node(net, task, x, y, noise)
+        term = nll_node(net, task, x, y, net.sample_noise(task, rng))
         nll = term if nll is None else ad.add(nll, term)
     if cfg.mc_samples > 1:
         nll = ad.mul(nll, Tensor(np.full((), 1.0 / cfg.mc_samples)))
@@ -195,16 +195,15 @@ def fisher_diag(net, task, x, y, mode="empirical", rng=None, max_samples=None):
     return acc / len(xs) * n_total
 
 
-def ewc_loss(net, task, x, y, prior: NetPrior, n_task=None):
+def ewc_loss(net, task, x, y, prior: NetPrior, n_task: int):
     """Point-estimate loss: mean NLL at the means plus the Online-EWC penalty.
 
     `prior` is variance-free: the penalty is (1/2) sum prec * (mu - prior.mu)**2,
     with prec the decayed sum of lam-scaled Fishers at whole-dataset scale,
-    so when n_task is given the penalty is divided by it to match the
-    per-example NLL.
+    so it is divided by n_task to match the per-example NLL.
     """
     nll = nll_node(net, task, x, y, noise=None)
-    return ad.add(nll, shared_kl_node(net, prior, 1.0 if n_task is None else 1.0 / n_task))
+    return ad.add(nll, shared_kl_node(net, prior, 1.0 / n_task))
 
 
 def ewc_next_prior(prior: NetPrior, fisher_new, theta_now, lam=1.0, gamma=1.0) -> NetPrior:

@@ -7,6 +7,12 @@ as a chain of nodes: each draw built from primitive ops, then a dense
 layer at the drawn values; `autodiff.dense` with a draw is one node that
 must be bit-identical to it. `sequential_predict` is `nets.predict` one
 draw at a time, each in turn: the parallel draws must match it bitwise.
+
+The primitive ops those chains are made of, which no training run
+builds, live here rather than in `gvcl.autodiff`: `matmul`, `add_bias`
+((N, F) + (F,)), `relu`, `exp`, `scale` (by a constant) and `tsum`. Each
+is one node on `Tensor._result`, with the numpy arithmetic the fused ops
+repeat, so a chain of them and the fused node agree bit for bit.
 """
 
 from __future__ import annotations
@@ -66,9 +72,52 @@ def kl_lambda_tilde(q: DiagGaussian, prior: ClippedPrecisionPrior) -> float:
     )
 
 
+def matmul(a, b):
+    xd, wd = a.data, b.data
+
+    def back(g):
+        return (
+            g @ wd.T if a.requires_grad else None,
+            xd.T @ g if b.requires_grad else None,
+        )
+
+    return Tensor._result("matmul", xd @ wd, (a, b), back)
+
+
+def add_bias(a, b):
+    """(N, F) + (F,), the bias add of a dense layer."""
+    return Tensor._result(
+        "add_bias", a.data + b.data, (a, b),
+        lambda g: (g, g.sum(axis=0) if b.requires_grad else None),
+    )
+
+
+def relu(a):
+    mask = a.data > 0
+    return Tensor._result("relu", a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def exp(a):
+    with np.errstate(over="ignore"):
+        e = np.exp(a.data)
+    return Tensor._result("exp", e, (a,), lambda g: (g * e,))
+
+
+def scale(a, c):
+    """a times the constant float c."""
+    return Tensor._result("scale", a.data * c, (a,), lambda g: (g * c,))
+
+
+def tsum(a):
+    shape = a.shape
+    return Tensor._result(
+        "sum", np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),)
+    )
+
+
 def reparam(mu, logvar, eps):
-    """The draw mu + exp(logvar / 2) * eps as add(mu, mul(exp(mul(logvar, 0.5)), eps))."""
-    std = ad.exp(ad.mul(logvar, Tensor(np.full((), 0.5))))
+    """The draw mu + exp(logvar / 2) * eps as add(mu, mul(exp(scale(logvar, 0.5)), eps))."""
+    std = exp(scale(logvar, 0.5))
     return ad.add(mu, ad.mul(std, Tensor(eps)))
 
 

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from gvcl import autodiff as ad
 from gvcl.autodiff import NonFiniteError, ShapeError, Tensor
+from oracles import tsum
 
 
 def numgrad(f, arrs, idx, eps=1e-6):
@@ -42,11 +43,10 @@ def test_composite_graph_gradients(seed):
 
     def forward(arrs):
         x, w, b, gamma, shift = [Tensor(a, requires_grad=True) for a in arrs]
-        h = ad.add(ad.matmul(x, w), b)  # bias broadcast
+        h = oracles.add_bias(oracles.matmul(x, w), b)
         h = scale_shift(h, gamma, shift)
-        h = ad.relu(h)
-        h = ad.add(ad.square(h), ad.exp(ad.mul(h, Tensor(np.full((), -1.0)))))
-        h = ad.log(ad.add(h, Tensor(np.ones(h.shape))))
+        h = oracles.relu(h)
+        h = ad.add(ad.mul(h, h), oracles.exp(oracles.scale(h, -1.0)))
         return h, (x, w, b, gamma, shift)
 
     loss, params = forward([xd, wd, bd, gd, sd])
@@ -84,25 +84,18 @@ def test_softmax_cross_entropy_matches_logsumexp(seed):
 
 def test_reused_node_accumulates_gradient():
     a = Tensor(np.array([3.0]), requires_grad=True)
-    ad.backward(ad.tsum(ad.mul(a, a)))
+    ad.backward(tsum(ad.mul(a, a)))
     assert np.allclose(a.grad, [6.0])
-
-
-def test_scalar_mul_broadcast():
-    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = ad.mul(a, Tensor(np.full((), 2.0)))
-    assert np.array_equal(out.data, 2 * a.data)
-    ad.backward(ad.tsum(out))
-    assert np.array_equal(a.grad, np.full((2, 3), 2.0))
 
 
 def test_shape_errors():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((3, 2)))
-    with pytest.raises(ShapeError):
-        ad.add(a, b)
-    with pytest.raises(ShapeError):
-        ad.matmul(a, Tensor(np.zeros((2, 2))))
+    # add and mul take equal shapes only: no bias or scalar broadcast
+    for op in (ad.add, ad.mul):
+        for other in (b, Tensor(np.zeros(3)), Tensor(np.full((), 2.0))):
+            with pytest.raises(ShapeError):
+                op(a, other)
     with pytest.raises(ShapeError):
         ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(3, dtype=int))
     with pytest.raises(ShapeError):
@@ -111,15 +104,15 @@ def test_shape_errors():
 
 def test_non_finite_forward_raises():
     with pytest.raises(NonFiniteError):
-        ad.log(Tensor(np.array([-1.0])))
-    with pytest.raises(NonFiniteError):
-        ad.exp(Tensor(np.array([1e6])))
+        ad.add(Tensor(np.array([np.inf])), Tensor(np.array([1.0])))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        ad.mul(Tensor(np.array([1e200])), Tensor(np.array([1e200])))
 
 
 def test_no_grad_leaves_are_skipped():
     a = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.ones(3))  # constant
-    ad.backward(ad.tsum(ad.mul(a, c)))
+    ad.backward(tsum(ad.mul(a, c)))
     assert c.grad is None
     assert np.array_equal(a.grad, np.ones(3))
 
@@ -157,7 +150,7 @@ def test_reparam_gradients(seed):
         return _sampled(True, ts, w_eps, b_eps, film=True, relu=True), ts
 
     out, ts = forward(arrs, grad=True)
-    ad.backward(ad.tsum(ad.mul(out, Tensor(weights))))
+    ad.backward(tsum(ad.mul(out, Tensor(weights))))
 
     def scalar(a):
         return float((forward(a)[0].data * weights).sum())
@@ -178,7 +171,7 @@ def test_reparam_bit_equal_to_op_chain(seed):
         for fused in (False, True):
             ts = [Tensor(a, requires_grad=i > 0 or x_grad) for i, a in enumerate(arrs)]
             out = _sampled(fused, ts, w_eps, b_eps, film, relu)
-            ad.backward(ad.tsum(ad.mul(out, weights)))
+            ad.backward(tsum(ad.mul(out, weights)))
             outs.append(out.data.tobytes())
             grads.append([None if t.grad is None else t.grad.tobytes() for t in ts])
         assert outs[0] == outs[1], (film, relu, x_grad)
@@ -309,9 +302,9 @@ def test_constant_parent_gradient_not_computed():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(4, 3)))  # data: a constant
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    out = ad.matmul(x, w)
-    gx, gw = out._backward(np.ones(out.shape))
-    assert gx is None and np.array_equal(gw, x.data.T @ np.ones((4, 2)))
+    out = ad.dense(x, w, Tensor(np.zeros(2)), relu=False)
+    gx, gw, gb = out._backward(np.ones(out.shape))
+    assert gx is None and gb is None and np.array_equal(gw, x.data.T @ np.ones((4, 2)))
 
 
 # -- fused dense layer, no_grad and backward order ------------------------------
@@ -332,10 +325,10 @@ def scale_shift(x, gamma, shift):
 
 
 def _dense_chain(x, w, b, gamma, shift, relu):
-    h = ad.add(ad.matmul(x, w), b)
+    h = oracles.add_bias(oracles.matmul(x, w), b)
     if gamma is not None:
         h = scale_shift(h, gamma, shift)
-    return ad.relu(h) if relu else h
+    return oracles.relu(h) if relu else h
 
 
 def _dense_arrays(seed):
@@ -356,7 +349,7 @@ def test_dense_gradients(film, relu):
         return ad.dense(ts[0], ts[1], ts[2], gamma, shift, relu=relu), ts
 
     out, ts = forward(arrs, grad=True)
-    ad.backward(ad.tsum(ad.mul(out, Tensor(weights))))
+    ad.backward(tsum(ad.mul(out, Tensor(weights))))
 
     def scalar(a):
         return float((forward(a)[0].data * weights).sum())
@@ -380,7 +373,7 @@ def test_dense_bit_equal_to_op_chain(film, relu, trainable):
         ts = [Tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrs)]
         gamma, shift = (ts[3], ts[4]) if film else (None, None)
         out = layer(ts[0], ts[1], ts[2], gamma, shift, relu)
-        ad.backward(ad.tsum(ad.mul(out, weights)))
+        ad.backward(tsum(ad.mul(out, weights)))
         outs.append(out.data.tobytes())
         grads.append([None if t.grad is None else t.grad.tobytes() for t in ts])
     assert outs[0] == outs[1]
@@ -425,8 +418,8 @@ def test_node_with_three_consumers_accumulates():
     xd = np.array([0.5, -1.0, 2.0])
     c = np.array([3.0, 1.0, -2.0])
     x = Tensor(xd, requires_grad=True)
-    h = ad.mul(x, Tensor(np.full((), 2.0)))  # consumed three times below
-    loss = ad.add(ad.add(ad.tsum(h), ad.tsum(ad.square(h))), ad.tsum(ad.mul(h, Tensor(c))))
+    h = oracles.scale(x, 2.0)  # consumed three times below, once as both factors
+    loss = ad.add(ad.add(tsum(h), tsum(ad.mul(h, h))), tsum(ad.mul(h, Tensor(c))))
     ad.backward(loss)
     assert np.allclose(x.grad, 2.0 * (1.0 + 2.0 * (2.0 * xd) + c), rtol=0, atol=1e-12)
 
@@ -442,7 +435,7 @@ def test_capture_rows_keeps_the_rows_of_the_weight_gradient(film):
         ts = [Tensor(a, requires_grad=True) for a in arrs]
         gamma, shift = (ts[3], ts[4]) if film else (None, None)
         with ad.capture_rows([ts[1]] if watch else []) as rows:
-            ad.backward(ad.tsum(ad.mul(ad.dense(ts[0], ts[1], ts[2], gamma, shift), weights)))
+            ad.backward(tsum(ad.mul(ad.dense(ts[0], ts[1], ts[2], gamma, shift), weights)))
         grads.append([t.grad for t in ts])
     plain, watched = grads
     assert watched[1] is None

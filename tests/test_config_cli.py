@@ -21,7 +21,7 @@ from gvcl.runner import RunnerConfig, RunRecord
 def rich_config():
     return ExperimentConfig(
         name="round_trip",
-        dataset="synthetic_pair",
+        dataset="split_mnist",
         methods=("gvcl_film", "ewc"),
         seeds=(0, 3, 7),
         data_seed=42,

@@ -294,7 +294,8 @@ def test_worker_draw_error_propagates_and_leaves_training_intact(monkeypatch):
     assert ad._grad_enabled is True
     assert threading.active_count() == threads
     y = np.zeros(len(x), dtype=int)
-    loss = beta_elbo_loss(net, "a", x, y, initial_prior(net), GVCLConfig(), 128, None)
+    loss = beta_elbo_loss(net, "a", x, y, initial_prior(net), GVCLConfig(), 128,
+                          np.random.default_rng(1))
     assert loss.requires_grad and loss._parents
     ad.backward(loss)
     assert net.shared[0].weight_mu.grad is not None

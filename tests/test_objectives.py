@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,9 @@ def test_loss_with_self_prior_equals_nll():
     prior = posterior_to_prior(net, 1.0, lam=1.0)
     x, y = batch()
     cfg = GVCLConfig(beta=7.0)
-    loss = beta_elbo_loss(net, "a", x, y, prior, cfg, n_task=8, rng=None)
-    nll = obj.nll_node(net, "a", x, y, noise=None)
+    loss = beta_elbo_loss(net, "a", x, y, prior, cfg, n_task=8, rng=np.random.default_rng(3))
+    noise = net.sample_noise("a", np.random.default_rng(3))  # the draw the loss took
+    nll = obj.nll_node(net, "a", x, y, noise)
     assert float(loss.data) == pytest.approx(float(nll.data), abs=1e-10)
 
 
@@ -88,9 +91,11 @@ def test_beta_scales_kl_term_linearly():
     x, y = batch(seed=4)
     vals = {}
     for beta in (1.0, 2.0):
-        loss = beta_elbo_loss(net, "a", x, y, prior, GVCLConfig(beta=beta), 8, rng=None)
+        loss = beta_elbo_loss(net, "a", x, y, prior, GVCLConfig(beta=beta), 8,
+                              rng=np.random.default_rng(5))
         vals[beta] = float(loss.data)
-    nll = float(obj.nll_node(net, "a", x, y, None).data)
+    noise = net.sample_noise("a", np.random.default_rng(5))  # the draw each loss took
+    nll = float(obj.nll_node(net, "a", x, y, noise).data)
     kl = float(shared_kl_node(net, prior).data)
     assert vals[1.0] == pytest.approx(nll + kl / 8, rel=1e-12)
     assert vals[2.0] - vals[1.0] == pytest.approx(kl / 8, rel=1e-9)
@@ -148,7 +153,7 @@ def test_empty_batch_raises():
     net = tiny_net()
     with pytest.raises(ValueError):
         beta_elbo_loss(net, "a", np.zeros((0, 3)), np.zeros(0, dtype=int),
-                       initial_prior(net, 1.0), GVCLConfig(), 8, None)
+                       initial_prior(net, 1.0), GVCLConfig(), 8, np.random.default_rng(0))
 
 
 # -- EWC --------------------------------------------------------------------
@@ -368,7 +373,7 @@ def test_ewc_loss_n_task_divides_penalty():
     prior = anchored_prior(net, prec=1.0, shift=1.0)
     nll = float(obj.nll_node(net, "a", x, y, None).data)
     pen = float(shared_kl_node(net, prior).data)
-    full = float(ewc_loss(net, "a", x, y, prior).data)
+    full = float(ewc_loss(net, "a", x, y, prior, n_task=1).data)
     scaled = float(ewc_loss(net, "a", x, y, prior, n_task=10).data)
     assert full == pytest.approx(nll + pen, rel=1e-12)
     assert scaled == pytest.approx(nll + pen / 10, rel=1e-12)
@@ -378,9 +383,9 @@ def test_ewc_loss_rejects_mismatched_state():
     net = tiny_net(seed=12)
     x, y = batch()
     with pytest.raises(ValueError):
-        ewc_loss(net, "a", x, y, NetPrior(flat_shared_mu(net), np.zeros(3)))
+        ewc_loss(net, "a", x, y, NetPrior(flat_shared_mu(net), np.zeros(3)), 8)
     with pytest.raises(ValueError):
-        ewc_loss(net, "a", x, y, NetPrior(np.zeros(3), np.zeros(flat_shared_mu(net).size)))
+        ewc_loss(net, "a", x, y, NetPrior(np.zeros(3), np.zeros(flat_shared_mu(net).size)), 8)
 
 
 def test_ewc_update_gamma_decay_and_clip_warning():
@@ -461,15 +466,16 @@ def test_fisher_model_mode_draws_labels_from_one_generator(monkeypatch):
     assert np.array_equal(rows_default, want)
 
 
-def _op_nodes(loss):
-    """Non-leaf graph nodes reachable from a loss."""
-    seen, stack, ops = set(), [loss], 0
+def _graph_ops(loss):
+    """The op names of the non-leaf graph nodes reachable from a loss, one per node."""
+    seen, stack, ops = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        ops += node._op != "leaf"
+        if node._op != "leaf":
+            ops.append(node._op)
         stack.extend(node._parents)
     return ops
 
@@ -494,7 +500,27 @@ def test_elbo_graph_stays_fused(arch, limit):
     x = rng.normal(size=(5, n_in))
     y = rng.integers(0, 3 if arch.head_in else 2, size=5)
     loss = beta_elbo_loss(net, "a", x, y, prior, GVCLConfig(beta=0.5), 5, rng)
-    assert _op_nodes(loss) <= limit
+    assert len(_graph_ops(loss)) <= limit
+
+
+def test_runs_build_every_autodiff_op():
+    # the graphs of a gvcl_film ELBO with two MC samples, a logistic-net
+    # ELBO (the sigmoid loss) and an EWC loss use every public op of
+    # autodiff: an op that only tests call has no place there
+    rng = np.random.default_rng(2)
+    ops = set()
+    for arch, cfg in ((Architecture.mlp(input_dim=3, hidden=(4,)), GVCLConfig(mc_samples=2)),
+                      (Architecture.logistic(), GVCLConfig())):
+        net = init_net(arch, 0)
+        net.add_task("a", 3 if arch.head_in else 2, rng)
+        x = rng.normal(size=(5, arch.layers[0][0]))
+        y = rng.integers(0, 2, size=5)
+        ops.update(_graph_ops(beta_elbo_loss(net, "a", x, y, initial_prior(net), cfg, 5, rng)))
+    n = flat_shared_mu(net).size
+    ops.update(_graph_ops(ewc_loss(net, "a", x, y, NetPrior(np.zeros(n), np.ones(n)), 5)))
+    public = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
+              if f.__module__ == ad.__name__ and not name.startswith("_") and name != "backward"}
+    assert ops == {"mean" if name == "tmean" else name for name in public}
 
 
 def _elbo_chain(net, task, x, y, prior, cfg, n_task, rng):
