@@ -8,7 +8,8 @@ w + exp(w_logvar / 2) * eps, b likewise), ``diag_gauss_kl`` (the clipped
 diagonal-Gaussian KL over many tensors, or its quadratic term alone, the
 Online-EWC penalty, times a constant scale), ``softmax_cross_entropy``
 and ``sigmoid_cross_entropy`` (per example), ``tmean``, and ``add`` and
-``mul`` of equal shapes (in runs, scalars: NLL + KL and the MC average).
+``mul`` of equal shapes (scalars: NLL + KL, and the MC average, which a
+run builds only when ``mc_samples`` > 1; no config or workload sets it).
 
 All data is float64. Tensors are immutable values, numbered in creation
 order; an op's result links to its parents, so creation order is a

@@ -81,8 +81,7 @@ def _run_cell(args):
         traceback.print_exc()
         raised = True
         record = RunRecord(
-            method, dataclasses.asdict(cfg_runner), seed, result_matrix=[],
-            task_ids=[t.task_id for t in tasks], wall_times=[], checkpoints=[],
+            method, dataclasses.asdict(cfg_runner), seed, task_ids=[t.task_id for t in tasks],
             error=f"{type(e).__name__}: {e}",
         )
     with open(os.path.join(cell_dir, "record.json"), "w") as f:
@@ -113,16 +112,9 @@ def cmd_run(config_path, jobs, data_root, out_root):
             if record.error or not record.result_matrix:
                 w.writerow([method, seed, "", "", "", record.error or "no results"])
                 continue
-            w.writerow(
-                [
-                    method,
-                    seed,
-                    f"{metrics.acc(record.result_matrix):.6f}",
-                    f"{metrics.bwt(record.result_matrix):.6f}",
-                    f"{metrics.ece(record.confidence, record.correct):.6f}",
-                    "",
-                ]
-            )
+            scores = (metrics.acc(record.result_matrix), metrics.bwt(record.result_matrix),
+                      metrics.ece(record.confidence, record.correct))
+            w.writerow([method, seed, *(f"{v:.6f}" for v in scores), ""])
     with open(os.path.join(exp_dir, "calibration.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "seed", "bin", "mean_confidence", "accuracy", "count"])
@@ -217,12 +209,33 @@ def _verify_checks():
         a[j] += eps
         return (up - dn) / (2 * eps)
 
-    def elbo_finite_differences():
-        # beta_elbo_loss gradients at fixed noise on a 3-4-2 FiLM MLP with a
-        # clipped prior, against central differences of a numpy forward
-        r = np.random.default_rng(2)
+    def film_net(seed):
+        # the finite-difference rows' 3-4-2 FiLM MLP with task "a", and its rng
+        r = np.random.default_rng(seed)
         net = init_net(Architecture.mlp(input_dim=3, hidden=(4,)), 0)
         net.add_task("a", 2, r)
+        return net, r
+
+    def numpy_nll(net, x, y, noise=None):
+        # film_net's mean NLL in plain numpy, not through `dense`: at the
+        # means, or at mu + exp(logvar / 2) * eps for a `sample_noise` list
+        p = [t.data for l in (net.shared[0], net.heads["a"]) for t in l.variational_params()]
+        w0, b0, w1, b1 = p[::2] if noise is None else (
+            m + np.exp(lv * 0.5) * e for m, lv, e in zip(p[::2], p[1::2], noise))
+        fp = net.film["a"][0]
+        z = np.maximum((x @ w0 + b0) * fp.gamma.data + fp.shift.data, 0.0) @ w1 + b1
+        return np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y])
+
+    def close(got, want):
+        return want != 0 and abs(got - want) <= 1e-6 * abs(want)
+
+    def gradients_match(loss, cases):
+        # each (tensor, index) gradient against a central difference of loss
+        return all(close(t.grad[j], central_difference(loss, t.data, j)) for t, j in cases)
+
+    def elbo_finite_differences():
+        # beta_elbo_loss gradients at fixed noise, with a clipped prior
+        net, r = film_net(2)
         for p in net.shared_logvars():
             p.data = r.uniform(-3.0, 0.5, p.shape)  # some variances above the prior's
         prior = posterior_to_prior(net, 1.0, lam=10.0)
@@ -231,78 +244,53 @@ def _verify_checks():
         x, y, cfg = r.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1]), GVCLConfig(beta=0.5)
         noise = net.sample_noise("a", np.random.default_rng(3))
         ad.backward(beta_elbo_loss(net, "a", x, y, prior, cfg, 7, np.random.default_rng(3)))
-        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
-        # w0 mean, w0 logvar, b0 mean, b0 logvar, then the head's (w1, b1) alike
-        drawn = layer.variational_params() + head.variational_params()
 
         def loss():
-            w0, b0, w1, b1 = (m.data + np.exp(lv.data * 0.5) * e
-                              for m, lv, e in zip(drawn[::2], drawn[1::2], noise))
-            z = np.maximum((x @ w0 + b0) * fp.gamma.data + fp.shift.data, 0.0) @ w1 + b1
-            nll = np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), y])
-            mu, lv = (np.concatenate([t.data.ravel() for t in drawn[k:4:2]]) for k in (0, 1))
+            mu, lv = (np.concatenate([t.data.ravel() for t in ts])
+                      for ts in (net.shared_means(), net.shared_logvars()))
             kl = np.sum(prior.prec * (mu - prior.mu) ** 2 + np.exp(lv) / prior.var - lv
                         + np.log(prior.var) - 1.0)
-            return nll + cfg.beta / 7 * 0.5 * kl
+            return numpy_nll(net, x, y, noise) + cfg.beta / 7 * 0.5 * kl
 
-        for t, j in ((layer.weight_mu, (1, 2)), (layer.weight_logvar, (0, 3)),
-                     (layer.bias_logvar, (1,)), (fp.gamma, (2,)), (head.weight_mu, (1, 0))):
-            want = central_difference(loss, t.data, j)
-            if not (want != 0 and abs(t.grad[j] - want) <= 1e-6 * abs(want)):
-                return False
-        return True
+        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
+        return gradients_match(loss, ((layer.weight_mu, (1, 2)), (layer.weight_logvar, (0, 3)),
+                                      (layer.bias_logvar, (1,)), (fp.gamma, (2,)),
+                                      (head.weight_mu, (1, 0))))
 
     def ewc_finite_differences():
-        # ewc_loss gradients on a 3-4-2 FiLM MLP with a nonzero-precision
-        # Online-EWC prior, against central differences of a numpy forward
-        r = np.random.default_rng(4)
-        net = init_net(Architecture.mlp(input_dim=3, hidden=(4,)), 0)
-        net.add_task("a", 2, r)
+        # ewc_loss gradients with a nonzero-precision Online-EWC prior
+        net, r = film_net(4)
         for p in net.trainable_params("a", means_only=True):
             p.data = p.data + r.normal(scale=0.5, size=p.shape)
         n = sum(p.size for p in net.shared_means())
         prior = NetPrior(r.normal(size=n), r.uniform(1.0, 5.0, n))
         x, y, n_task = r.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1]), 7
         ad.backward(ewc_loss(net, "a", x, y, prior, n_task))
-        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
 
         def loss():
-            h = (x @ layer.weight_mu.data + layer.bias_mu.data) * fp.gamma.data + fp.shift.data
-            z = np.maximum(h, 0.0) @ head.weight_mu.data + head.bias_mu.data
-            nll = np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), y])
             mu = np.concatenate([t.data.ravel() for t in net.shared_means()])
-            return nll + 0.5 * np.sum(prior.prec * (mu - prior.mu) ** 2) / n_task
+            return numpy_nll(net, x, y) + 0.5 * np.sum(prior.prec * (mu - prior.mu) ** 2) / n_task
 
-        for t, j in ((layer.weight_mu, (1, 2)), (layer.weight_mu, (2, 0)), (layer.bias_mu, (3,)),
-                     (fp.gamma, (2,)), (fp.shift, (0,)), (head.weight_mu, (3, 1))):
-            want = central_difference(loss, t.data, j)
-            if not (want != 0 and abs(t.grad[j] - want) <= 1e-6 * abs(want)):
-                return False
-        return True
+        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
+        return gradients_match(loss, ((layer.weight_mu, (1, 2)), (layer.weight_mu, (2, 0)),
+                                      (layer.bias_mu, (3,)), (fp.gamma, (2,)), (fp.shift, (0,)),
+                                      (head.weight_mu, (3, 1))))
 
     def fisher_finite_differences():
-        # fisher_diag on a 3-4-2 FiLM MLP against squared per-example NLL
-        # gradients from central differences of a numpy forward
-        r = np.random.default_rng(1)
-        net = init_net(Architecture.mlp(input_dim=3, hidden=(4,)), 0)
-        net.add_task("a", 2, r)
-        layer, fp, head = net.shared[0], net.film["a"][0], net.heads["a"]
+        # fisher_diag against summed squares of per-example central differences
+        net, r = film_net(1)
+        layer, fp = net.shared[0], net.film["a"][0]
         layer.weight_mu.data = r.normal(size=(3, 4))
         layer.bias_mu.data = r.normal(size=4)
         fp.gamma.data = r.uniform(0.5, 1.5, size=4)
         fp.shift.data = r.normal(size=4)
         x, y = r.normal(size=(3, 3)), np.array([0, 1, 1])
-
-        def nll(i):
-            h = (x[i] @ layer.weight_mu.data + layer.bias_mu.data) * fp.gamma.data
-            z = np.maximum(h + fp.shift.data, 0.0) @ head.weight_mu.data + head.bias_mu.data
-            return np.log(np.exp(z).sum()) - z[y[i]]
-
         params = net.shared_means()  # w0, b0
         fisher = split_flat(fisher_diag(net, "a", x, y), params)
         for k, j in ((0, (0, 1)), (0, (2, 3)), (1, (1,)), (1, (2,))):
-            want = sum(central_difference(lambda: nll(i), params[k].data, j) ** 2 for i in range(3))
-            if not (want > 0 and abs(fisher[k][j] - want) <= 1e-6 * want):
+            want = sum(central_difference(lambda: numpy_nll(net, x[i : i + 1], y[i : i + 1]),
+                                          params[k].data, j) ** 2 for i in range(3))
+            if not close(fisher[k][j], want):
                 return False
         return True
 
@@ -354,13 +342,20 @@ def cmd_verify():
     return 1 if failures else 0
 
 
+def _jobs(text):
+    """The --jobs value: a whole number of worker processes, at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="gvcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_jobs, default=1)
     p_run.add_argument("--data-root", default=None)
     p_run.add_argument("--out", default="runs")
 

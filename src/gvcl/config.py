@@ -61,7 +61,10 @@ def _read_section(parser, section, cls, **extra):
         )
     for f in known:
         if parser.has_option(section, f.name):
-            kwargs[f.name] = _coerce(parser.get(section, f.name), f.type)
+            try:
+                kwargs[f.name] = _coerce(parser.get(section, f.name), f.type)
+            except ValueError as e:
+                raise ValueError(f"[{section}] {f.name}: {e}") from e
     return cls(**kwargs)
 
 

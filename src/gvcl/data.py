@@ -1,12 +1,13 @@
 """Dataset loading and synthetic task generation.
 
 IDX (MNIST-style) parsing, Split-MNIST style binary task construction
-and the 2-D logistic cluster tasks.
+and Gaussian-cluster tasks, among them the 2-D logistic toy.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -64,48 +65,34 @@ class TaskSpec:
     classes: int
 
 
-def _read_maybe_gz(path):
+def _idx_payload(path, magic, kind, ndims):
+    """The `ndims` dimension sizes and the uint8 payload of the IDX file at
+    `path`, plain or gzipped, checked in order: the magic, the header's
+    length, then the payload's length against the dimensions."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:2] == b"\x1f\x8b":
         blob = gzip.decompress(blob)
-    return blob
-
-
-def _read_idx_header(blob, path):
     if len(blob) < 4:
         raise IdxFormatError(f"{path}: truncated header")
-    magic = struct.unpack(">I", blob[:4])[0]
-    return magic
+    if struct.unpack(">I", blob[:4])[0] != magic:
+        raise IdxFormatError(f"{path}: bad magic (expected {kind} file)")
+    head = 4 + 4 * ndims  # the magic, then one 32-bit size per dimension
+    if len(blob) < head:
+        raise IdxFormatError(f"{path}: truncated header")
+    dims = struct.unpack(f">{ndims}I", blob[4:head])
+    if len(blob) != head + math.prod(dims):
+        raise IdxFormatError(f"{path}: payload length does not match header")
+    return dims, np.frombuffer(blob, dtype=np.uint8, offset=head)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a flattened uint8 dataset."""
-    img_blob = _read_maybe_gz(images_path)
-    lbl_blob = _read_maybe_gz(labels_path)
-
-    if _read_idx_header(img_blob, images_path) != IDX_MAGIC_IMAGES:
-        raise IdxFormatError(f"{images_path}: bad magic (expected images file)")
-    if _read_idx_header(lbl_blob, labels_path) != IDX_MAGIC_LABELS:
-        raise IdxFormatError(f"{labels_path}: bad magic (expected labels file)")
-
-    if len(img_blob) < 16:
-        raise IdxFormatError(f"{images_path}: truncated header")
-    n, rows, cols = struct.unpack(">III", img_blob[4:16])
-    if len(img_blob) != 16 + n * rows * cols:
-        raise IdxFormatError(f"{images_path}: payload length does not match header")
-
-    if len(lbl_blob) < 8:
-        raise IdxFormatError(f"{labels_path}: truncated header")
-    (n_lbl,) = struct.unpack(">I", lbl_blob[4:8])
-    if len(lbl_blob) != 8 + n_lbl:
-        raise IdxFormatError(f"{labels_path}: payload length does not match header")
+    (n, rows, cols), pixels = _idx_payload(images_path, IDX_MAGIC_IMAGES, "images", 3)
+    (n_lbl,), labels = _idx_payload(labels_path, IDX_MAGIC_LABELS, "labels", 1)
     if n != n_lbl:
         raise IdxFormatError(f"image count {n} != label count {n_lbl}")
-
-    images = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images, labels)
+    return Dataset(pixels.reshape(n, rows * cols), labels.astype(np.int64))
 
 
 def write_idx(images, labels, images_path, labels_path):
@@ -155,22 +142,24 @@ TOY_CENTERS = {
 TOY_SPREAD = 1.0
 
 
+def cluster_task(task_id, rng, centers, spread, sizes):
+    """A task of Gaussian clusters, class k around `centers[k]` with standard
+    deviation `spread`: train, validation and test splits of `sizes[0]`,
+    `sizes[1]` and `sizes[2]` points per class, drawn from `rng` split by
+    split and, within a split, class by class."""
+    centers = np.asarray(centers, dtype=np.float64)
+    splits = []
+    for n in sizes:
+        xs = [rng.normal(0.0, spread, size=(n, centers.shape[1])) + c for c in centers]
+        ys = np.repeat(np.arange(len(centers), dtype=np.int64), n)
+        splits.append(Dataset(np.concatenate(xs), ys))
+    return TaskSpec(task_id, *splits, len(centers))
+
+
 def gen_toy_clusters(seed, n_per_class=100):
     """Two 2-D binary logistic tasks from four Gaussian clusters."""
     if n_per_class < 10:
         raise ValueError("n_per_class must be >= 10")
     rng = np.random.default_rng(seed)
-    tasks = []
-    for tid, (c0, c1) in TOY_CENTERS.items():
-        splits = []
-        for n in (n_per_class, max(10, n_per_class // 4), n_per_class):
-            xs, ys = [], []
-            for label, center in ((0, c0), (1, c1)):
-                pts = rng.normal(0.0, TOY_SPREAD, size=(n, 2)) + np.asarray(center)
-                xs.append(pts)
-                ys.append(np.full(n, label, dtype=np.int64))
-            splits.append(Dataset(np.concatenate(xs), np.concatenate(ys)))
-        tr, val, te = splits
-        tasks.append(TaskSpec(tid, tr, val, te, 2))
-    return tasks
-
+    sizes = (n_per_class, max(10, n_per_class // 4), n_per_class)
+    return [cluster_task(tid, rng, c, TOY_SPREAD, sizes) for tid, c in TOY_CENTERS.items()]

@@ -47,6 +47,8 @@ class Architecture:
 class MeanFieldLayer:
     """Gaussian weight and bias parameters of one dense layer."""
 
+    NAMES = ("weight_mu", "weight_logvar", "bias_mu", "bias_logvar")
+
     def __init__(self, fan_in, fan_out, rng):
         std = 0.1 / np.sqrt(fan_in)
         self.weight_mu = Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
@@ -54,16 +56,8 @@ class MeanFieldLayer:
         self.bias_mu = Tensor(np.zeros(fan_out), requires_grad=True)
         self.bias_logvar = Tensor(np.full(fan_out, INIT_LOGVAR), requires_grad=True)
 
-    def params(self):
-        return {
-            "weight_mu": self.weight_mu,
-            "weight_logvar": self.weight_logvar,
-            "bias_mu": self.bias_mu,
-            "bias_logvar": self.bias_logvar,
-        }
-
     def variational_params(self):
-        return [self.weight_mu, self.weight_logvar, self.bias_mu, self.bias_logvar]
+        return [getattr(self, name) for name in self.NAMES]
 
     def forward(self, h, noise, gamma=None, shift=None, relu=True):
         """The layer's dense node on input h: at the means when noise is
@@ -78,12 +72,11 @@ class MeanFieldLayer:
 class FiLMParams:
     """Per-task feature-wise scale and shift (point estimates)."""
 
+    NAMES = ("gamma", "shift")
+
     def __init__(self, width):
         self.gamma = Tensor(np.ones(width), requires_grad=True)
         self.shift = Tensor(np.zeros(width), requires_grad=True)
-
-    def params(self):
-        return {"gamma": self.gamma, "shift": self.shift}
 
 
 class VariationalNet:
@@ -98,7 +91,7 @@ class VariationalNet:
 
     def add_task(self, task, classes, rng):
         """Lazily create the head (and fresh identity FiLM params) for a task."""
-        if task in self.heads:
+        if task in self.film:  # every task gets an entry, headless nets too
             raise ValueError(f"task {task!r} already present")
         if self.arch.head_in:
             self.heads[task] = MeanFieldLayer(self.arch.head_in, classes, rng)
@@ -159,18 +152,13 @@ class VariationalNet:
         return out
 
     def named_params(self):
-        out = {}
-        for i, layer in enumerate(self.shared):
-            for k, t in layer.params().items():
-                out[f"shared.{i}.{k}"] = t
+        """Every parameter tensor by checkpoint name, e.g. "shared.0.bias_mu"."""
+        owners = [(f"shared.{i}", layer) for i, layer in enumerate(self.shared)]
         for task in sorted(self.film, key=repr):
-            for j, fp in enumerate(self.film[task]):
-                for k, t in fp.params().items():
-                    out[f"film.{task!r}.{j}.{k}"] = t
+            owners += [(f"film.{task!r}.{j}", fp) for j, fp in enumerate(self.film[task])]
             if self.arch.head_in:
-                for k, t in self.heads[task].params().items():
-                    out[f"head.{task!r}.{k}"] = t
-        return out
+                owners.append((f"head.{task!r}", self.heads[task]))
+        return {f"{prefix}.{name}": getattr(o, name) for prefix, o in owners for name in o.NAMES}
 
 
 def split_flat(flat, tensors):

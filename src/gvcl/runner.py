@@ -52,10 +52,10 @@ class RunRecord:
     method: str
     config: dict
     seed: int
-    result_matrix: list  # lower-triangular rows
-    task_ids: list
-    wall_times: list
-    checkpoints: list
+    result_matrix: list = field(default_factory=list)  # lower-triangular rows
+    task_ids: list = field(default_factory=list)
+    wall_times: list = field(default_factory=list)
+    checkpoints: list = field(default_factory=list)
     error: str = ""
     # per-example inputs of the final result row, for calibration; not in JSON
     confidence: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False, compare=False)
@@ -64,10 +64,6 @@ class RunRecord:
     def to_json(self):
         doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.compare}
         return json.dumps(doc, indent=2)
-
-    @staticmethod
-    def from_json(text):
-        return RunRecord(**json.loads(text))
 
 
 def _shuffled_batches(n, batch_size, rng):
@@ -79,14 +75,14 @@ def _shuffled_batches(n, batch_size, rng):
         yield order[start : start + batch_size]
 
 
-def fit(params, optimizer, loss, train, epochs, batch_size, rng, val=None, patience=None):
+def fit(optimizer, loss, train, epochs, batch_size, rng, val=None, patience=None):
     """The training loop of every method: `epochs` passes over `train`.
 
     Each batch is one optimizer step on `loss(x, y)`. An optimizer with a
     `decay` multiplies its rate by it once per epoch. With `val`, a
     zero-argument score (higher is better) taken after every epoch, the
-    best-scoring epoch's `params` are restored at the end, and training
-    stops after `patience` epochs without improvement.
+    best-scoring epoch's values of `optimizer.params` are restored at the
+    end, and training stops after `patience` epochs without improvement.
     """
     n = len(train)
     best, snapshot, stale = -np.inf, None, 0
@@ -100,13 +96,13 @@ def fit(params, optimizer, loss, train, epochs, batch_size, rng, val=None, patie
             continue
         score = val()
         if score > best:
-            best, snapshot, stale = score, [p.data.copy() for p in params], 0
+            best, snapshot, stale = score, [p.data.copy() for p in optimizer.params], 0
         else:
             stale += 1
             if patience is not None and stale >= patience:
                 break
     if snapshot is not None:
-        for p, d in zip(params, snapshot):
+        for p, d in zip(optimizer.params, snapshot):
             p.data = d
 
 
@@ -156,15 +152,7 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
         mu = obj.flat_shared_mu(net)
         prior = obj.NetPrior(mu, np.zeros(mu.size))
 
-    record = RunRecord(
-        method=method,
-        config=dataclasses.asdict(cfg),
-        seed=seed,
-        result_matrix=[],
-        task_ids=[t.task_id for t in tasks],
-        wall_times=[],
-        checkpoints=[],
-    )
+    record = RunRecord(method, dataclasses.asdict(cfg), seed, task_ids=[t.task_id for t in tasks])
     for t, spec in enumerate(tasks):
         t0 = time.perf_counter()
         task, n = spec.task_id, len(spec.train)
@@ -172,17 +160,14 @@ def run_continual(method, tasks, cfg: RunnerConfig, seed, arch=None, out_dir=Non
         try:
             # the losses are looked up on `obj` at call time, so wrappers see them
             if is_vi:
-                params = net.trainable_params(task)
                 fit(
-                    params,
-                    Adam(params, lr=gcfg.lr),
+                    Adam(net.trainable_params(task), lr=gcfg.lr),
                     lambda x, y: obj.beta_elbo_loss(net, task, x, y, prior, gcfg, n, train_rng),
                     spec.train, gcfg.epochs, gcfg.batch_size, train_rng,
                 )
             else:
                 params = net.trainable_params(task, means_only=True)
                 fit(
-                    params,
                     SGD(params, lr=cfg.map_lr, decay=cfg.map_lr_decay),
                     lambda x, y: obj.ewc_loss(net, task, x, y, prior, n),
                     spec.train, cfg.map_epochs, gcfg.batch_size, train_rng,

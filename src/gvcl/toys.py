@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import objectives as obj
-from .data import Dataset, TaskSpec, gen_toy_clusters
+from .data import cluster_task, gen_toy_clusters
 from .gaussians import DiagGaussian, film_optimal_scale, scaled_kl
 from .nets import Architecture, init_net, prune_diagnostics
 from .objectives import GVCLConfig
@@ -60,10 +60,8 @@ def ewc_reference_solution(tasks, seed):
     prior = obj.NetPrior(np.zeros(n_shared), np.ones(n_shared))
     for spec in tasks:
         task, n = spec.task_id, len(spec.train)
-        params = net.trainable_params(task, means_only=True)
         fit(
-            params,
-            Adam(params, lr=5e-2),
+            Adam(net.trainable_params(task, means_only=True), lr=5e-2),
             lambda x, y: obj.ewc_loss(net, task, x, y, prior, n),
             spec.train, 4000, n, rng=None,
         )
@@ -133,16 +131,7 @@ def gen_synthetic_pair(seed, n_per_class=60, dim=12, classes=(2, 12)):
     for t, k in enumerate(classes):
         dirs = rng.normal(size=(k, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        splits = []
-        for n in (n_per_class, 20, n_per_class):
-            xs, ys = [], []
-            for label in range(k):
-                pts = rng.normal(0.0, 0.5, size=(n, dim)) + 2.0 * dirs[label]
-                xs.append(pts)
-                ys.append(np.full(n, label, dtype=np.int64))
-            splits.append(Dataset(np.concatenate(xs), np.concatenate(ys)))
-        tr, val, te = splits
-        tasks.append(TaskSpec(f"syn{t}", tr, val, te, k))
+        tasks.append(cluster_task(f"syn{t}", rng, 2.0 * dirs, 0.5, (n_per_class, 20, n_per_class)))
     return tasks
 
 

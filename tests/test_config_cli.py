@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -104,6 +105,13 @@ def test_non_integer_seed_rejected_where_it_enters():
         ExperimentConfig(data_seed=0.5)
     with pytest.raises(ValueError):
         from_ini("[experiment]\ndata_seed = x\n")
+
+
+def test_unparsable_value_names_its_section_and_key():
+    # one int field and one float field
+    for section, key, text in (("gvcl", "epochs", "sixty"), ("runner", "map_lr", "fast")):
+        with pytest.raises(ValueError, match=rf"^\[{section}\] {key}: .*'{text}'"):
+            from_ini(f"[experiment]\nname = 'x'\n[{section}]\n{key} = {text}\n")
 
 
 def test_import_does_not_load_scipy():
@@ -237,9 +245,9 @@ def test_cli_run_records_a_raising_cell_and_finishes_the_rest(tmp_path, monkeypa
     assert "map_sgd/0" in capsys.readouterr().err
 
     exp = out / "smoke"
-    failed = RunRecord.from_json((exp / "map_sgd" / "0" / "record.json").read_text())
+    failed = RunRecord(**json.loads((exp / "map_sgd" / "0" / "record.json").read_text()))
     assert failed.error == "RuntimeError: boom" and failed.result_matrix == []
-    done = RunRecord.from_json((exp / "gvcl" / "0" / "record.json").read_text())
+    done = RunRecord(**json.loads((exp / "gvcl" / "0" / "record.json").read_text()))
     assert done.error == "" and len(done.result_matrix) == 2
     with open(exp / "summary.csv") as f:
         rows = {r["method"]: r for r in csv.DictReader(f)}
@@ -247,6 +255,16 @@ def test_cli_run_records_a_raising_cell_and_finishes_the_rest(tmp_path, monkeypa
     assert rows["gvcl"]["error"] == "" and 0.0 <= float(rows["gvcl"]["acc"]) <= 1.0
     with open(exp / "calibration.csv") as f:
         assert {r["method"] for r in csv.DictReader(f)} == {"gvcl"}
+
+
+def test_cli_run_rejects_jobs_below_one(tmp_path, capsys):
+    # argument parsing fails before any config is read or any process starts
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(tmp_path / "missing.ini"), "--jobs", jobs, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"--jobs: expected an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_run_split_mnist_needs_data_root(tmp_path):

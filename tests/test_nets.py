@@ -419,9 +419,13 @@ def test_checkpoint_bad_file_loads_nothing(tmp_path):
 
 
 def test_add_task_twice_raises():
-    net = small_net()
-    with pytest.raises(ValueError):
-        net.add_task("a", 4, np.random.default_rng(0))
+    # on a headless net too, whose only per-task entry is its (empty) FiLM list
+    for net in (small_net(), init_net(Architecture.logistic(), 0)):
+        net.add_task("t", 2, np.random.default_rng(0))
+        film, head = net.film["t"], net.heads.get("t")
+        with pytest.raises(ValueError, match="already present"):
+            net.add_task("t", 4, np.random.default_rng(1))
+        assert net.film["t"] is film and net.heads.get("t") is head  # nothing replaced
 
 
 def test_forward_unknown_task_raises():

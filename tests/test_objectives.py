@@ -444,7 +444,7 @@ def test_binary_nll_matches_closed_form():
     assert out == pytest.approx(ref, abs=1e-12)
 
 
-def test_fisher_model_mode_draws_labels_from_one_generator(monkeypatch):
+def test_fisher_default_rng_draws_the_subsample_of_default_rng_0(monkeypatch):
     # rng=None means one default_rng(0) per call, and it draws the subsample
     net = tiny_net(seed=13)
     x, y = batch(seed=14, n=12)

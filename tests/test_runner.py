@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 
@@ -73,7 +74,7 @@ def test_map_sgd_runs(toy_tasks):
 
 def test_record_json_round_trip(toy_tasks):
     rec, _ = run_continual("gvcl", toy_tasks, quick_cfg(), seed=2)
-    back = RunRecord.from_json(rec.to_json())
+    back = RunRecord(**json.loads(rec.to_json()))
     assert back == rec
 
 
@@ -135,7 +136,7 @@ def test_fit_steps_once_per_batch(batch_size):
     opt, steps = SGD([w], lr=0.1), []
     step = opt.step
     opt.step = lambda: steps.append(step())
-    fit([w], opt, loss, train, 3, batch_size, rng)
+    fit(opt, loss, train, 3, batch_size, rng)
     assert len(steps) == len(calls) == 3 * math.ceil(10 / batch_size)
     assert sum(calls) == 3 * 10  # every example once per epoch
     # one batch covering the set is taken in order and draws nothing
@@ -151,7 +152,7 @@ def test_fit_restores_best_epoch_bitwise():
         seen.append(w.data.copy())
         return next(scores)
 
-    fit([w], SGD([w], lr=0.1), loss, train, 10, 4, np.random.default_rng(2), val=val, patience=1)
+    fit(SGD([w], lr=0.1), loss, train, 10, 4, np.random.default_rng(2), val=val, patience=1)
     assert len(seen) == 3  # epoch 3 did not improve on epoch 2: stop
     assert np.array_equal(w.data, seen[1])
     assert not np.array_equal(w.data, seen[2])
@@ -161,7 +162,7 @@ def test_fit_restores_best_epoch_bitwise():
 def test_sgd_rate_decays_once_per_epoch(k):
     train, w, loss, calls = _quadratic_problem(n=10)
     opt = SGD([w], lr=0.05, decay=0.9)
-    fit([w], opt, loss, train, k, 4, np.random.default_rng(k))
+    fit(opt, loss, train, k, 4, np.random.default_rng(k))
     assert len(calls) == 3 * k  # three steps per epoch, one decay
     assert opt.lr == pytest.approx(0.05 * 0.9**k, rel=1e-12)
 
