@@ -121,9 +121,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def __repr__(self):
-        return f"Tensor(op={self._op}, shape={self.shape})"
-
     # -- graph construction helpers --------------------------------------
 
     @staticmethod

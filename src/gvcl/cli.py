@@ -163,11 +163,13 @@ def cmd_toy(name, out_root):
 
 def _verify_checks():
     from . import autodiff as ad
-    from .gaussians import DiagGaussian, film_optimal_scale, kl_diag, kl_lambda, scaled_kl, temper
+    from .gaussians import (
+        DiagGaussian, clipped_precision, film_optimal_scale, kl_diag, kl_lambda, scaled_kl, temper,
+    )
     from .nets import Architecture, init_net, split_flat
     from .objectives import (
         GVCLConfig, NetPrior, beta_elbo_loss, curvature_probe, ewc_loss, fisher_diag,
-        posterior_to_prior,
+        newton_minimize, posterior_to_prior,
     )
 
     rng = np.random.default_rng(0)
@@ -189,6 +191,55 @@ def _verify_checks():
             abs(curvature_probe(beta, "linear", 0) / (30.0 / 1000) - 1.0) < 1e-3
             for beta in (0.25, 1.0, 4.0)
         )
+
+    def beta_vi_limit():
+        # the paper's beta -> 0 limit on the 2-D logistic toy, both sides
+        # solved exactly: sequential beta-VI over the 6 (mu, log var) values,
+        # with Gauss-Hermite over the Gaussian pre-activation and the lam = 1
+        # clipped prior, against Online EWC from the task-1 MLE with the
+        # diagonal GGN. The task-2 means' distance to the limit is about
+        # 0.065 * beta, so it must fall more than 5-fold from 0.1 to 0.01
+        nodes, weights = np.polynomial.hermite_e.hermegauss(61)
+        weights = weights / weights.sum()
+        data = [(np.c_[t.train.inputs, np.ones(len(t.train))], t.train.labels)
+                for t in gen_toy_clusters(1234, 100)]
+
+        def sigmoid(a):
+            return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+        def neg_elbo(x, y, beta, m0, v0):
+            p0 = clipped_precision(v0, 1.0, 1.0)
+
+            def fun(z):
+                mu, var = z[:3], np.exp(z[3:])
+                m, sd = x @ mu, np.sqrt(x**2 @ var)
+                a = m[:, None] + sd[:, None] * nodes  # each row's pre-activation nodes
+                kl = 0.5 * np.sum(p0 * (mu - m0) ** 2 + var / v0 - np.log(var / v0) - 1.0)
+                value = np.sum(np.logaddexp(0.0, a) @ weights - y * m) + beta * kl
+                dm, dsd = sigmoid(a) @ weights - y, sigmoid(a) @ (weights * nodes)
+                return value, np.r_[x.T @ dm + beta * p0 * (mu - m0),
+                                    (x**2).T @ (dsd / (2 * sd)) * var + 0.5 * beta * (var / v0 - 1)]
+            return fun
+
+        def ewc(x, y, m0, h0):
+            def fun(theta):
+                z = x @ theta
+                return (np.sum(np.logaddexp(0.0, z) - y * z) + 0.5 * np.sum(h0 * (theta - m0) ** 2),
+                        x.T @ (sigmoid(z) - y) + h0 * (theta - m0))
+            return fun
+
+        def distance(beta, limit):
+            z, m0, v0 = np.zeros(6), np.zeros(3), np.ones(3)
+            for x, y in data:
+                z, _ = newton_minimize(neg_elbo(x, y, beta, m0, v0), z)
+                m0, v0 = z[:3], np.exp(z[3:])
+            return np.linalg.norm(m0 - limit)
+
+        (x1, y1), (x2, y2) = data
+        mle, _ = newton_minimize(ewc(x1, y1, 0.0, 0.0), np.zeros(3))
+        p = sigmoid(x1 @ mle)
+        limit, _ = newton_minimize(ewc(x2, y2, mle, (p * (1 - p)) @ x1**2), mle)
+        return distance(0.1, limit) / distance(0.01, limit) > 5
 
     def film_scale_optimum():
         for _ in range(5):
@@ -315,6 +366,7 @@ def _verify_checks():
         ("tempering identity", tempering_identity),
         ("kl self-distance zero", kl_self_zero),
         ("conjugate posterior variance", conjugate_posterior),
+        ("beta-VI optimum -> Online-EWC limit", beta_vi_limit),
         ("film scale optimum vs grid", film_scale_optimum),
         ("elbo gradients vs finite differences", elbo_finite_differences),
         ("ewc gradients vs finite differences", ewc_finite_differences),

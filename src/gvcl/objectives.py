@@ -217,7 +217,35 @@ def ewc_next_prior(prior: NetPrior, fisher_new, theta_now, lam=1.0, gamma=1.0) -
     return NetPrior(theta_now.copy(), gamma * prior.prec + lam * fisher_new)
 
 
-# -- 1-parameter curvature probe ------------------------------------------
+# -- exact solves: damped Newton, and the 1-parameter curvature probe -------
+
+
+def newton_minimize(fun, x):
+    """Minimize fun(x) -> (value, gradient) over a few parameters from x by
+    damped Newton; returns (x, value). The Hessian is the central difference
+    of the gradient with its eigenvalues made positive, so every step goes
+    downhill. A step leaves out each coordinate it would move by 1e-14 or
+    less (so a parameter at a kink, like the probe's cusps, stays on it),
+    moves none by more than 1 and is halved until the value does not rise.
+    The solve ends at a step that lowers nothing, or after 100 steps."""
+    x = np.array(x, dtype=np.float64)
+    f, g = fun(x)
+    for _ in range(100):
+        h = np.array([fun(x + e)[1] - fun(x - e)[1] for e in np.eye(x.size) * 1e-5]) / 2e-5
+        lam, v = np.linalg.eigh((h + h.T) / 2)
+        d = -v @ (v.T @ g / np.maximum(np.abs(lam), 1e-8))
+        d[np.abs(d) <= 1e-14] = 0.0
+        d /= max(1.0, np.abs(d).max())
+        for _ in range(60):
+            f_new, g_new = fun(x + d)
+            if f_new <= f:
+                break
+            d /= 2
+        if f_new >= f:
+            break
+        x, f, g = x + d, f_new, g_new
+    return x, f
+
 
 _TOY_SIGMA0_SQ = 30.0
 _TOY_N_POINTS = 1000  # draws x ~ N(0, 1) that the probe fits
@@ -250,12 +278,12 @@ def curvature_probe(beta, toy, seed):
     """Effective curvature variance from tempered VI on the 1-parameter model.
 
     Fits q = N(mu, s2) to the generative model x ~ N(f(theta), 30) by
-    maximizing the tempered ELBO (Gauss-Hermite quadrature for the
+    maximizing the tempered ELBO (61-node Gauss-Hermite quadrature for the
     expected log-likelihood), then removes the tempering scale from the
-    fitted precision: the returned value is 1 / (beta * (1/s2 - 1)).
+    fitted precision: the returned value is 1 / (beta * (1/s2 - 1)). Newton
+    starts from the best point of a grid, mu in [-2, 2] by 0.1 and log s2
+    in [-40, 10] by 1, to find the global optimum where f2 and f3 have several.
     """
-    from scipy.optimize import minimize  # here, so that importing gvcl does not load scipy
-
     f, df = _toy_f(toy)
     rng = np.random.default_rng(seed)
     n = _TOY_N_POINTS
@@ -273,31 +301,24 @@ def curvature_probe(beta, toy, seed):
         return (s1 - n * f(theta)) * df(theta) / _TOY_SIGMA0_SQ
 
     def neg_elbo_and_grad(z):
-        mu, s = z  # s = log variance
+        mu, s = z  # s = log variance; arrays of points on the start grid
         sig = np.exp(0.5 * s)
-        theta = mu + sig * nodes
-        e = np.sum(weights * loglik(theta))
+        theta = mu[..., None] + sig[..., None] * nodes
+        e = np.sum(weights * loglik(theta), axis=-1)
         dl = weights * dloglik(theta)
-        de_dmu = dl.sum()
-        de_ds = 0.5 * sig * np.sum(dl * nodes)
+        de_dmu = dl.sum(axis=-1)
+        de_ds = 0.5 * sig * np.sum(dl * nodes, axis=-1)
         kl = 0.5 * (np.exp(s) + mu * mu - 1.0 - s)
         dkl_dmu = mu
         dkl_ds = 0.5 * (np.exp(s) - 1.0)
         val = -(e - beta * kl)
         return val, np.array([-(de_dmu - beta * dkl_dmu), -(de_ds - beta * dkl_ds)])
 
-    best = None
-    bounds = [(None, None), (-40.0, 10.0)]  # keep exp(s) finite during line search
-    for mu0 in (0.3, 1.0, -0.7):
-        res = minimize(
-            neg_elbo_and_grad, x0=np.array([mu0, -2.0]), jac=True,
-            method="L-BFGS-B", bounds=bounds,
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if not np.isfinite(best.fun):
+    grid = np.stack(np.meshgrid(np.linspace(-2, 2, 41), np.linspace(-40, 10, 51))).reshape(2, -1)
+    z, value = newton_minimize(neg_elbo_and_grad, grid[:, np.argmin(neg_elbo_and_grad(grid)[0])])
+    if not np.isfinite(value):
         raise FloatingPointError(f"curvature probe diverged: beta={beta}, toy={toy}")
-    s2_fit = np.exp(best.x[1])
+    s2_fit = np.exp(z[1])
     denom = beta * (1.0 / s2_fit - 1.0)
     if denom <= 0:
         raise FloatingPointError(

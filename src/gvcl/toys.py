@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from . import objectives as obj
 from .data import cluster_task, gen_toy_clusters
 from .gaussians import DiagGaussian, film_optimal_scale, scaled_kl
-from .nets import Architecture, init_net, prune_diagnostics
+from .nets import Architecture, init_net, prune_diagnostics, split_flat
 from .objectives import GVCLConfig
-from .optim import Adam
-from .runner import RunnerConfig, fit, run_continual
+from .runner import RunnerConfig, run_continual
 
 CURVATURE_BETAS = (0.1, 1.0, 10.0)
 CURVATURE_FUNCS = ("linear", "f1", "f2", "f3")
@@ -44,30 +44,34 @@ def _epochs_for_beta(beta):
     return int(min(40000, 3000 / beta**0.75))
 
 
-def ewc_reference_solution(tasks, seed):
+def ewc_reference_solution(tasks):
     """Online EWC (lam = gamma = 1) on the 2-D logistic toy from a unit
     normal prior at 0, so that task 1 is a MAP fit; returns the final means.
 
-    It keeps its own loop, Adam at 5e-2 for 4000 full-batch epochs with no
-    early stopping, to settle each task at its optimum: run_continual's
+    Each task's `ewc_loss` over its whole training set is minimized
+    exactly, by `newton_minimize` from the previous task's means (zeros
+    for the first), so the result depends on no seed. run_continual's
     point path takes decaying SGD steps and stops on validation accuracy,
     which leaves the means short of the solution the distances are taken to.
     """
-    net = init_net(Architecture.logistic(), seed)
+    net = init_net(Architecture.logistic(), 0)
+    params = net.shared_means()  # w (2, 1) and b (1,): the net has no heads
+    theta, prior = np.zeros(3), obj.NetPrior(np.zeros(3), np.ones(3))
     for spec in tasks:
-        net.add_task(spec.task_id, spec.classes, np.random.default_rng(seed))
-    n_shared = obj.flat_shared_mu(net).size
-    prior = obj.NetPrior(np.zeros(n_shared), np.ones(n_shared))
-    for spec in tasks:
-        task, n = spec.task_id, len(spec.train)
-        fit(
-            Adam(net.trainable_params(task, means_only=True), lr=5e-2),
-            lambda x, y: obj.ewc_loss(net, task, x, y, prior, n),
-            spec.train, 4000, n, rng=None,
-        )
-        fisher = obj.fisher_diag(net, task, spec.train.inputs, spec.train.labels)
-        prior = obj.ewc_next_prior(prior, fisher, obj.flat_shared_mu(net))
-    return obj.flat_shared_mu(net)
+        task, x, y, n = spec.task_id, spec.train.inputs, spec.train.labels, len(spec.train)
+        net.add_task(task, spec.classes, None)
+
+        def loss_and_grad(theta):
+            for p, part in zip(params, split_flat(theta, params)):
+                p.data, p.grad = part, None
+            loss = obj.ewc_loss(net, task, x, y, prior, n)
+            ad.backward(loss)
+            return float(loss.data), np.concatenate([p.grad.ravel() for p in params])
+
+        theta, _ = obj.newton_minimize(loss_and_grad, theta)
+        loss_and_grad(theta)  # the Fisher is taken at the net's means
+        prior = obj.ewc_next_prior(prior, obj.fisher_diag(net, task, x, y), theta)
+    return theta
 
 
 def gvcl_toy_solution(tasks, seed, beta):
@@ -87,13 +91,10 @@ def gvcl_toy_solution(tasks, seed, beta):
 def ewc_convergence(seeds=(0, 1, 2, 3, 4), betas=CONVERGENCE_BETAS, data_seed=1234):
     """(beta, mean parameter distance to the EWC solution) rows."""
     tasks = gen_toy_clusters(data_seed, n_per_class=100)
-    refs = {seed: ewc_reference_solution(tasks, seed) for seed in seeds}
+    ref = ewc_reference_solution(tasks)
     rows = []
     for beta in betas:
-        dists = []
-        for seed in seeds:
-            theta = gvcl_toy_solution(tasks, seed, beta)
-            dists.append(float(np.linalg.norm(theta - refs[seed])))
+        dists = [np.linalg.norm(gvcl_toy_solution(tasks, seed, beta) - ref) for seed in seeds]
         rows.append((beta, float(np.mean(dists))))
     return rows
 

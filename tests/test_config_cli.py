@@ -115,12 +115,19 @@ def test_unparsable_value_names_its_section_and_key():
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, gvcl.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # nor does running what solves exactly: verify's conjugate and limit
+    # rows, and the criterion-4 reference
+    code = (
+        "import sys, gvcl.cli, gvcl.data, gvcl.toys\n"
+        "assert gvcl.cli.cmd_verify() == 0\n"
+        "gvcl.toys.ewc_reference_solution(gvcl.data.gen_toy_clusters(1234))\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 SHIPPED_CONFIGS = [
@@ -148,8 +155,9 @@ def test_cli_verify_exits_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 10
     assert "ewc gradients vs finite differences" in out
+    assert "beta-VI optimum -> Online-EWC limit" in out
 
 
 def test_cli_toy_film_scale(tmp_path, capsys):
